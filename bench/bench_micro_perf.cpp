@@ -38,6 +38,37 @@ void BM_EvaluateHierarchy(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateHierarchy)->Range(8, 512)->Complexity(benchmark::oN);
 
+/// A sharded-stitch-shaped plan: the root over agents of `group` servers
+/// each, leftover nodes as root servers (19 x 50 + 30 at n = 1000, close
+/// to the 20 x 50 serve-drift stitch candidate).
+Hierarchy stitched_over(std::size_t n, std::size_t group) {
+  Hierarchy h;
+  const auto root = h.add_root(0);
+  NodeId next = 1;
+  while (next + group < n) {
+    const auto agent = h.add_agent(root, next++);
+    for (std::size_t k = 0; k < group; ++k) h.add_server(agent, next++);
+  }
+  while (next < n) h.add_server(root, next++);
+  return h;
+}
+
+/// Hierarchy::validate runs inside every checked model::evaluate; the
+/// star is its worst case for a per-element scan of the sibling list.
+void BM_ValidateHierarchy(benchmark::State& state, bool stitched) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Platform platform = gen::homogeneous(n, 1000.0, 1000.0);
+  const Hierarchy h = stitched ? stitched_over(n, 50) : star_over(n);
+  for (auto _ : state) benchmark::DoNotOptimize(h.validate(&platform));
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK_CAPTURE(BM_ValidateHierarchy, star, false)
+    ->Range(64, 16384)
+    ->Complexity(benchmark::oN);
+BENCHMARK_CAPTURE(BM_ValidateHierarchy, stitched, true)
+    ->Range(64, 16384)
+    ->Complexity(benchmark::oN);
+
 void BM_PlanHeuristic(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(5);

@@ -191,16 +191,18 @@ void Coordinator::dispatch_leaves(
                             : run.error);
     PlanResult plan = std::move(run.result);
     const std::vector<NodeId>& ids = leaves[s];
-    // An out-of-range node id in a worker's hierarchy would fault the
-    // remap below: reject it as the malformed response it is — the
-    // throw fails the *worker* (drain-thread path), the shard is
-    // re-dispatched or planned in-process — before anything reaches
-    // the cache.
-    for (Hierarchy::Index e = 0; e < plan.hierarchy.size(); ++e)
-      ADEPT_CHECK(plan.hierarchy.node_of(e) < ids.size(),
-                  "shard " + std::to_string(s) + " response references node " +
-                      std::to_string(plan.hierarchy.node_of(e)) +
-                      " outside its sub-platform");
+    // A worker's hierarchy is untrusted input: an out-of-range node id
+    // would fault the remap below, a childless or server root would
+    // fault the stitch, a reused node would poison every later request
+    // through the cache. Reject any structurally invalid answer as the
+    // malformed response it is — the throw fails the *worker*
+    // (drain-thread path), the shard is re-dispatched or planned
+    // in-process — before anything reaches the cache.
+    try {
+      plan.hierarchy.validate_or_throw(dispatch[k].request.platform.get());
+    } catch (const Error& e) {
+      throw Error("shard " + std::to_string(s) + " response: " + e.what());
+    }
     // Store by content in sub-platform-local ids, pre-remap, like the
     // local leaf path — the two address identical entries. The cache is
     // internally synchronised, so concurrent drain threads may insert.

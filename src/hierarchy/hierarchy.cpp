@@ -1,7 +1,7 @@
 #include "hierarchy/hierarchy.hpp"
 
 #include <algorithm>
-#include <set>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -18,6 +18,7 @@ Hierarchy Hierarchy::from_elements(std::vector<Element> elements) {
   // degree rules are validate()'s job (planners may hold intermediate
   // forms), but a broken linkage would corrupt every traversal.
   const std::size_t n = out.elements_.size();
+  const std::vector<unsigned char> listed = out.listed_by_parent();
   for (Index i = 0; i < n; ++i) {
     const Element& element = out.elements_[i];
     if (i == 0) {
@@ -25,8 +26,7 @@ Hierarchy Hierarchy::from_elements(std::vector<Element> elements) {
     } else {
       ADEPT_CHECK(element.parent != npos && element.parent < n,
                   "element " + std::to_string(i) + " has a bad parent index");
-      const auto& siblings = out.elements_[element.parent].children;
-      ADEPT_CHECK(std::count(siblings.begin(), siblings.end(), i) == 1,
+      ADEPT_CHECK(listed[i] == 1,
                   "element " + std::to_string(i) +
                       " is not listed exactly once by its parent");
     }
@@ -210,49 +210,84 @@ std::vector<std::string> Hierarchy::validate(const Platform* platform) const {
   if (elements_.front().parent != npos)
     problems.emplace_back("root element has a parent");
 
-  std::set<NodeId> seen_nodes;
-  for (Index i = 0; i < elements_.size(); ++i) {
-    const Element& element = elements_[i];
-    const std::string where = "element " + std::to_string(i);
-    if (i != 0 && element.parent == npos)
-      problems.push_back(where + ": non-root element has no parent");
-    if (element.parent != npos) {
-      if (element.parent >= elements_.size()) {
-        problems.push_back(where + ": parent index out of range");
+  const std::size_t n = elements_.size();
+  const std::vector<unsigned char> listed = listed_by_parent();
+
+  // reused[i]: an earlier element already sits on element i's node. Nodes
+  // inside the platform are marked in a flat table; the rest (every node
+  // when there is no platform) are found as runs of a sorted copy.
+  std::vector<char> reused(n, 0);
+  std::vector<std::pair<NodeId, Index>> unplaced;
+  if (platform != nullptr) {
+    std::vector<char> taken(platform->size(), 0);
+    for (Index i = 0; i < n; ++i) {
+      const NodeId node = elements_[i].node;
+      if (node < taken.size()) {
+        reused[i] = taken[node];
+        taken[node] = 1;
       } else {
-        const Element& parent = elements_[element.parent];
-        if (parent.role != Role::Agent)
-          problems.push_back(where + ": parent is not an agent");
-        const auto& siblings = parent.children;
-        if (std::find(siblings.begin(), siblings.end(), i) == siblings.end())
-          problems.push_back(where + ": missing from parent's child list");
+        unplaced.emplace_back(node, i);
+      }
+    }
+  } else {
+    unplaced.reserve(n);
+    for (Index i = 0; i < n; ++i) unplaced.emplace_back(elements_[i].node, i);
+  }
+  std::sort(unplaced.begin(), unplaced.end());
+  for (std::size_t k = 1; k < unplaced.size(); ++k)
+    if (unplaced[k].first == unplaced[k - 1].first)
+      reused[unplaced[k].second] = 1;
+
+  // Messages are only formatted for problems actually found.
+  auto report = [&problems](Index i, const std::string& what) {
+    problems.push_back("element " + std::to_string(i) + ": " + what);
+  };
+  for (Index i = 0; i < n; ++i) {
+    const Element& element = elements_[i];
+    if (i != 0 && element.parent == npos)
+      report(i, "non-root element has no parent");
+    if (element.parent != npos) {
+      if (element.parent >= n) {
+        report(i, "parent index out of range");
+      } else {
+        if (elements_[element.parent].role != Role::Agent)
+          report(i, "parent is not an agent");
+        if (listed[i] == 0) report(i, "missing from parent's child list");
       }
     }
     for (Index child : element.children) {
-      if (child >= elements_.size())
-        problems.push_back(where + ": child index out of range");
+      if (child >= n)
+        report(i, "child index out of range");
       else if (elements_[child].parent != i)
-        problems.push_back(where + ": child does not point back to parent");
+        report(i, "child does not point back to parent");
     }
     if (element.role == Role::Server && !element.children.empty())
-      problems.push_back(where + ": server has children");
+      report(i, "server has children");
     if (element.role == Role::Agent) {
       if (i == 0 && element.children.empty())
-        problems.push_back(where + ": root agent has no children");
+        report(i, "root agent has no children");
       if (i != 0 && element.children.size() < 2)
-        problems.push_back(where +
-                           ": non-root agent must have two or more children");
+        report(i, "non-root agent must have two or more children");
     }
-    if (!seen_nodes.insert(element.node).second)
-      problems.push_back(where + ": platform node " +
-                         std::to_string(element.node) +
-                         " is used by more than one element");
+    if (reused[i] != 0)
+      report(i, "platform node " + std::to_string(element.node) +
+                    " is used by more than one element");
     if (platform != nullptr && element.node >= platform->size())
-      problems.push_back(where + ": node id " + std::to_string(element.node) +
-                         " outside platform of size " +
-                         std::to_string(platform->size()));
+      report(i, "node id " + std::to_string(element.node) +
+                    " outside platform of size " +
+                    std::to_string(platform->size()));
   }
   return problems;
+}
+
+std::vector<unsigned char> Hierarchy::listed_by_parent() const {
+  const std::size_t n = elements_.size();
+  std::vector<unsigned char> listed(n, 0);
+  for (Index p = 0; p < n; ++p)
+    for (const Index child : elements_[p].children)
+      if (child < n && elements_[child].parent == p && listed[child] < 2)
+        ++listed[child];
+  return listed;
 }
 
 void Hierarchy::validate_or_throw(const Platform* platform) const {

@@ -112,7 +112,9 @@ class Hierarchy {
 
   /// Structural problems found, as human-readable strings; empty when the
   /// hierarchy satisfies all the paper's rules. When `platform` is given,
-  /// node ids are also range-checked against it.
+  /// node ids are also range-checked against it. Every checked
+  /// model::evaluate runs it, so it is O(n) given a platform (node reuse
+  /// found in a flat table), O(n log n) without one (found by sorting).
   std::vector<std::string> validate(const Platform* platform = nullptr) const;
   /// Throws adept::Error listing all problems when validate() is non-empty.
   void validate_or_throw(const Platform* platform = nullptr) const;
@@ -120,7 +122,16 @@ class Hierarchy {
   bool operator==(const Hierarchy& other) const;
 
  private:
+  /// Tests build raw, possibly inconsistent element vectors through it,
+  /// so validate() is checked on linkage no public builder can produce.
+  friend struct HierarchyTestAccess;
+
   Index add_element(Index parent, NodeId node, Role role);
+  /// Per element: how many entries of the child list of the parent it
+  /// points to name it, saturated at 2 (0 = missing, 1 = listed once,
+  /// 2 = listed twice or more). One pass over all child lists — the
+  /// linear replacement for a per-element sibling scan.
+  std::vector<unsigned char> listed_by_parent() const;
 
   std::vector<Element> elements_;
 };

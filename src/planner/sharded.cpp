@@ -49,6 +49,8 @@ void attach_shard(Hierarchy& dst, Hierarchy::Index root,
     append_subtree(dst, root, shard_plan, shard_root);
     return;
   }
+  ADEPT_CHECK(!element.children.empty(),
+              "shard plan root has no children to attach");
   const Hierarchy::Index only = element.children.front();
   if (shard_plan.is_agent(only)) {
     append_subtree(dst, root, shard_plan, only);

@@ -21,10 +21,13 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/stats.hpp"
 #include "dist/worker_pool.hpp"
 #include "dist_test_util.hpp"
+#include "io/wire.hpp"
+#include "planner/shard_cache.hpp"
 #include "planning_test_util.hpp"
 
 namespace adept {
@@ -125,6 +128,76 @@ TEST(DistSocket, GarbageOverTheSocketFailsTheWorkerNeverTheRequest) {
   expect_identical(coordinator.plan(make_request(platform)),
                    run_planner("sharded", platform, dgemm_service(310)),
                    "garbage on the socket");
+}
+
+/// A well-formed `ok` answer carrying `hierarchy`, echoing the request id.
+std::string shard_answer(const std::string& request_line,
+                         const Hierarchy& hierarchy) {
+  PlannerRun run;
+  run.planner = "heuristic";
+  run.ok = true;
+  run.result.hierarchy = hierarchy;
+  json::Value doc = json::Value::object();
+  doc.set("id", json::parse(request_line).at("id").as_index());
+  doc.set("ok", true);
+  doc.set("run", wire::to_json(run));
+  return doc.dump() + "\n";
+}
+
+TEST(DistSocket, StructurallyInvalidShardAnswersFailTheWorkerNotTheCache) {
+  // Answers that parse, link consistently and stay in node range, but
+  // break the paper's structure rules: each would have reached the
+  // shard cache and the stitch, which grafts a shard root by its first
+  // child (a root-only or server-rooted plan has none) and evaluates
+  // every candidate (a reused node fails all later requests on the
+  // shard). The coordinator must reject them as malformed responses.
+  Hierarchy root_only;
+  root_only.add_root(0);
+  Hierarchy duplicate_node;
+  const Hierarchy::Index root = duplicate_node.add_root(0);
+  duplicate_node.add_server(root, 1);
+  duplicate_node.add_server(root, 1);
+  Hierarchy::Element server_root;
+  server_root.role = Role::Server;
+  const std::pair<const char*, Hierarchy> answers[] = {
+      {"root-only hierarchy", root_only},
+      {"duplicate node", duplicate_node},
+      {"server root", Hierarchy::from_elements({server_root})},
+  };
+  const Platform platform = multi_cluster(120, 5);
+  const PlanResult sharded =
+      run_planner("sharded", platform, dgemm_service(310));
+  for (const auto& [what, hierarchy] : answers) {
+    FakeTcpServer server([&hierarchy = hierarchy](int fd) {
+      std::string request;
+      while (read_line(fd, request))
+        if (!write_all(fd, shard_answer(request, hierarchy))) return;
+    });
+    SocketTransport transport({server.endpoint()});
+    CoordinatorConfig config;
+    config.workers = 2;
+    Coordinator coordinator(transport, config);
+    ShardPlanCache cache(64);
+    PlanOptions options;
+    options.shard_cache = &cache;
+
+    reset_stats_for_test();
+    expect_identical(coordinator.plan(make_request(platform, options)),
+                     sharded, what);
+    DistStats stats = stats_snapshot();
+    EXPECT_GT(stats.worker_failures, 0u) << what;
+    EXPECT_GT(stats.fallbacks, 0u) << what;
+    EXPECT_EQ(stats.responded, 0u) << what;
+
+    // Only the in-process fallback plans reached the cache: the repeat
+    // is answered from it entirely, without touching the wire.
+    reset_stats_for_test();
+    expect_identical(coordinator.plan(make_request(platform, options)),
+                     sharded, std::string(what) + ", cached repeat");
+    stats = stats_snapshot();
+    EXPECT_EQ(stats.dispatched, 0u) << what;
+    EXPECT_EQ(cache.stats().hits, cache.stats().misses) << what;
+  }
 }
 
 TEST(DistSocket, DribblingWriterCannotRestartTheReceiveTimeout) {

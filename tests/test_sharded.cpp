@@ -154,6 +154,34 @@ TEST(Sharded, RejectsSingleNodeShards) {
                Error);
 }
 
+TEST(Sharded, RootOnlyLeafPlanIsATypedError) {
+  // A leaf callback that answers one shard with a bare root (no
+  // children) must surface as adept::Error from the stitch, not reach
+  // the shard root's first child.
+  const Platform platform = multi_cluster(60);
+  const plat::Partition partition = plat::partition_platform(platform, 3);
+  ASSERT_GE(partition.shards.size(), 2u);
+  const auto leaves_fn = [](const std::vector<std::vector<NodeId>>& leaves) {
+    std::vector<PlanResult> plans(leaves.size());
+    for (std::size_t s = 0; s < leaves.size(); ++s) {
+      Hierarchy& h = plans[s].hierarchy;
+      const Hierarchy::Index root = h.add_root(leaves[s][0]);
+      if (s == 1) continue;  // the root-only answer
+      for (std::size_t i = 1; i < leaves[s].size(); ++i)
+        h.add_server(root, leaves[s][i]);
+    }
+    return plans;
+  };
+  try {
+    plan_sharded_with(platform, kParams, dgemm_service(310), {}, partition, 8,
+                      leaves_fn);
+    FAIL() << "a root-only shard plan was stitched";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("shard plan root has no children"), std::string::npos)
+        << e.what();
+  }
+}
+
 // -------------------------------------------------- service integration --
 
 TEST(Sharded, RunsThroughThePlanningService) {
