@@ -1,8 +1,9 @@
 /// \file bench_ablation_bandwidth.cpp
 /// \brief Ablation: sensitivity of Eq 16 to the homogeneous-link
 /// bandwidth B — quantifying when the paper's homogeneous-communication
-/// assumption matters. DESIGN.md calls this out because the paper defers
-/// heterogeneous communication to future work.
+/// assumption matters, because the paper defers heterogeneous
+/// communication to future work (the `link-aware` planner and
+/// bench_ablation_links cover that extension).
 
 #include "bench_util.hpp"
 

@@ -11,7 +11,8 @@
 /// model::evaluate once or twice per round. Production code must not use
 /// them -- the bench runs both paths, asserts the plans are identical,
 /// and records the wall-time / model-evaluation ratios in
-/// BENCH_plan_scale.json.
+/// BENCH_plan_scale.json; tests/test_incremental.cpp checks the
+/// heuristic's plans, reports and traces against them on small platforms.
 
 #include <algorithm>
 #include <cmath>

@@ -116,7 +116,6 @@ IncrementalEvaluator::Index IncrementalEvaluator::append_element(
     ADEPT_ASSERT(parent < elements_.size() &&
                      elements_[parent].role == Role::Agent,
                  "children can only be attached to agents");
-    element.depth = elements_[parent].depth + 1;
   }
   elements_.push_back(std::move(element));
   const Index index = elements_.size() - 1;
@@ -193,7 +192,6 @@ void IncrementalEvaluator::move_server(Index server, Index new_parent) {
   old_children.erase(
       std::find(old_children.begin(), old_children.end(), server));
   moved.parent = new_parent;
-  moved.depth = elements_[new_parent].depth + 1;
   elements_[new_parent].children.push_back(server);
   refresh(old_parent);
   refresh(new_parent);
@@ -217,8 +215,6 @@ void IncrementalEvaluator::init_from(const Hierarchy& hierarchy) {
     element.role = source.role;
     element.parent = source.parent;
     element.children = source.children;
-    element.depth =
-        source.parent == npos ? 0 : elements_[source.parent].depth + 1;
     elements_.push_back(std::move(element));
     rate_.push_back(0.0);
     adopt_rate_.push_back(0.0);

@@ -104,7 +104,6 @@ class IncrementalEvaluator {
   std::size_t degree(Index index) const {
     return elements_[index].children.size();
   }
-  std::size_t depth(Index index) const { return elements_[index].depth; }
 
   // --- throughput queries ------------------------------------------------
 
@@ -143,7 +142,6 @@ class IncrementalEvaluator {
     NodeId node = 0;
     Role role = Role::Server;
     Index parent = npos;
-    std::size_t depth = 0;
     std::vector<Index> children;
     /// Eq-15 sums as they were before this server joined; restored on
     /// remove_last() for exact rollback (servers only).

@@ -20,8 +20,13 @@
 /// explicit search over agent-set sizes k (a prefix of the sorted list —
 /// incrementing k is exactly one `shift_nodes` conversion), in two
 /// polarities on heterogeneous platforms (agents from the strong or the
-/// weak end of the list). Every intermediate valid deployment is a
-/// candidate; the best is returned. See DESIGN.md.
+/// weak end of the list). The first agent is the root and every other
+/// agent attaches under it, so a deployment has at most three levels and
+/// its structural minimum (root >= 1 child, other agents >= 2) takes
+/// 2(k-1) servers, or 1 for k = 1: only k = 1 … ⌊(n+2)/3⌋ fit on n nodes,
+/// and the sweep visits exactly those. Every intermediate valid
+/// deployment is a candidate; the best is returned.
+/// docs/ARCHITECTURE.md states the determinism rules the sweep keeps.
 ///
 /// Execution model (this file's performance architecture):
 ///   - each (polarity, k) block grows its deployment on a
@@ -58,51 +63,50 @@ namespace {
 constexpr std::size_t kParallelMinNodes = 96;
 
 /// Algorithm-1 construction policy on top of the incremental engine: a
-/// tree over agents plus water-filled servers. The engine owns the
-/// Eq-14/15/16 state; the builder owns only the *selection* heaps
-/// (breadth-first agent attachment, structural-minimum filling).
+/// root agent over k-1 agents plus water-filled servers. The engine owns
+/// the Eq-14/15/16 state; the builder owns only the structural-minimum
+/// selection heap.
 class Builder {
  public:
   Builder(const Platform& platform, const MiddlewareParams& params,
           const ServiceSpec& service, std::size_t capacity)
-      : engine_(platform, params, service),
-        bfs_parent_(BfsLess{this}), deficient_(DeficientLess{this}) {
+      : engine_(platform, params, service), deficient_(DeficientLess{this}) {
     engine_.reserve(capacity);
   }
 
   /// Installs the root agent.
   void set_root(NodeId node) {
     const auto root = engine_.add_root(node);
-    bfs_parent_.push(root);
     deficient_.push(root);  // the root needs >= 1 child
   }
 
-  /// Attaches a new agent breadth-first: to the *shallowest* agent, tie
-  /// broken by the highest post-attach scheduling power. Eq 14 is blind to
-  /// depth, so a chain of agents would predict the same throughput as a
-  /// bushy tree — but every level adds a request round-trip hop, and the
-  /// paper's generated deployments are 2–3 levels. Breadth-first keeps the
-  /// depth minimal without hurting the Eq-14 minimum (the k-sweep
-  /// snapshots protect against any per-k construction being a bad fit).
+  /// Servers the structural minimum takes for `agents` agents: a lone
+  /// root needs one; otherwise the other agents already give the root its
+  /// child and each of them needs two servers.
+  static constexpr std::size_t structural_servers(std::size_t agents) {
+    return agents == 1 ? 1 : 2 * (agents - 1);
+  }
+
+  /// Attaches a new agent under the root. Eq 14 is blind to depth, so a
+  /// chain of agents would predict the same throughput as a bushy tree —
+  /// but every level adds a request round-trip hop, and the paper's
+  /// generated deployments are 2–3 levels. Attaching to the root keeps
+  /// every deployment at three levels at most without hurting the Eq-14
+  /// minimum (the k-sweep snapshots protect against any per-k
+  /// construction being a bad fit).
   void add_agent(NodeId node) {
-    const auto parent = bfs_parent_.top();
-    const auto agent = engine_.add_agent(parent, node);
-    bfs_parent_.update(parent);  // its post-attach rate dropped
-    bfs_parent_.push(agent);
-    on_degree_change(parent);
+    const auto agent = engine_.add_agent(0, node);
+    on_degree_change(0);
     deficient_.push(agent);  // a non-root agent needs >= 2 children
   }
 
   /// Gives every agent its structural minimum of children (servers drawn
   /// from pool[next...]), always filling the agent that stays fastest.
-  /// Returns false when the pool runs dry first.
-  bool fill_structural_minimum(const std::vector<NodeId>& pool,
+  /// Stops early only if the pool runs dry.
+  void fill_structural_minimum(const std::vector<NodeId>& pool,
                                std::size_t& next) {
-    while (!deficient_.empty()) {
-      if (next >= pool.size()) return false;
+    while (!deficient_.empty() && next < pool.size())
       add_server_under(deficient_.top(), pool[next++]);
-    }
-    return true;
   }
 
   /// Attaches a server under the agent that stays fastest.
@@ -121,19 +125,6 @@ class Builder {
  private:
   using Engine = model::IncrementalEvaluator;
 
-  /// Shallowest first, then fastest after one more child, then first
-  /// created — the order the historical scan selected in.
-  struct BfsLess {
-    const Builder* owner;
-    bool operator()(std::size_t a, std::size_t b) const {
-      const auto& engine = owner->engine_;
-      if (engine.depth(a) != engine.depth(b))
-        return engine.depth(a) < engine.depth(b);
-      if (engine.adopt_rate(a) != engine.adopt_rate(b))
-        return engine.adopt_rate(a) > engine.adopt_rate(b);
-      return a < b;
-    }
-  };
   /// Fastest-after-fill first (the historical stable_sort's order).
   struct DeficientLess {
     const Builder* owner;
@@ -161,13 +152,20 @@ class Builder {
       else
         deficient_.update(agent);
     }
-    if (bfs_parent_.contains(agent)) bfs_parent_.update(agent);
   }
 
   Engine engine_;
-  IndexedHeap<BfsLess> bfs_parent_;
   IndexedHeap<DeficientLess> deficient_;
 };
+
+/// Largest agent count whose structural minimum fits on `n` >= 2 nodes:
+/// the sweep's upper bound, ⌊(n+2)/3⌋. A larger k runs out of servers
+/// before its first candidate.
+std::size_t max_agents(std::size_t n) {
+  std::size_t k = 1;
+  while (k + 1 + Builder::structural_servers(k + 1) <= n) ++k;
+  return k;
+}
 
 /// One scored intermediate deployment of a (polarity, k) block.
 struct Candidate {
@@ -175,10 +173,10 @@ struct Candidate {
   std::size_t nodes = 0;        ///< Elements deployed.
 };
 
-/// Runs one (polarity, k) block: grows the deployment and returns every
-/// candidate's score in growth order (empty when k agents are infeasible
-/// for the pool). When `rebuild_step` is given, construction instead
-/// stops at that candidate and materializes it into `*rebuilt`.
+/// Runs one (polarity, k) block, k <= max_agents(n): grows the deployment
+/// and returns every candidate's score in growth order. When
+/// `rebuild_step` is given, construction instead stops at that candidate
+/// and materializes it into `*rebuilt`.
 /// `stop` is polled at block entry and per growth step: a cancelled or
 /// late run throws out of the block (and, via for_each, out of the sweep).
 std::vector<Candidate> run_block(const Platform& platform,
@@ -212,8 +210,9 @@ std::vector<Candidate> run_block(const Platform& platform,
   for (std::size_t j = 1; j < k; ++j) builder.add_agent(agents[j]);
 
   std::size_t next = 0;  // next unused node in the pool
-  if (!builder.fill_structural_minimum(pool, next))
-    return {};  // too many agents for the remaining pool
+  builder.fill_structural_minimum(pool, next);
+  ADEPT_ASSERT(next == Builder::structural_servers(k),
+               "structural fill disagrees with the sweep bound");
 
   std::vector<Candidate> candidates;
   candidates.reserve(pool.size() - next + 1);
@@ -319,11 +318,12 @@ PlanResult plan_heterogeneous(const Platform& platform,
 
   // Main growth: each block (polarity, k) grows a deployment with k
   // agents — the k-th iteration converts the previous frontier server
-  // into an agent, the paper's shift_nodes. Blocks are independent, so
-  // they run across the pool; determinism comes from the ordered replay
-  // below, not from scheduling.
+  // into an agent, the paper's shift_nodes. Only the k whose structural
+  // minimum fits can yield a candidate, so no other block is built.
+  // Blocks are independent, so they run across the pool; determinism
+  // comes from the ordered replay below, not from scheduling.
   const int polarities = platform.is_homogeneous() ? 1 : 2;
-  const std::size_t per_polarity = n - 1;  // k = 1 .. n-1
+  const std::size_t per_polarity = max_agents(n);  // k = 1 .. max_agents(n)
   const std::size_t block_count =
       static_cast<std::size_t>(polarities) * per_polarity;
   std::vector<std::vector<Candidate>> blocks(block_count);

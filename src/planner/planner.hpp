@@ -80,7 +80,10 @@ PlanResult plan_homogeneous_optimal(const Platform& platform,
 /// and stops when nodes run out, `demand` is met, or throughput starts
 /// decreasing; among equal-throughput deployments the smallest one wins.
 ///
-/// Candidates are priced on the incremental evaluation engine
+/// One deployment is grown per agent count k: the root plus k-1 agents
+/// attached under it, each non-root agent given its two structural
+/// servers. Only k = 1 … ⌊(n+2)/3⌋ fit on n nodes, so only those are
+/// swept. Candidates are priced on the incremental evaluation engine
 /// (model::IncrementalEvaluator) and the independent per-k sweeps fan out
 /// across `pool` when one is provided (PlanOptions::pool plumbs the
 /// PlanningService's pool through). The result is bit-identical for any

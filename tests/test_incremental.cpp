@@ -1,7 +1,7 @@
 /// \file test_incremental.cpp
 /// \brief The incremental evaluation engine's exactness contract.
 ///
-/// Three layers of defence:
+/// Four layers of defence:
 ///   1. randomized property: hundreds of random edit sequences, asserting
 ///      after *every* edit that the engine's throughput terms equal a
 ///      from-scratch model::evaluate bit-for-bit — homogeneous and
@@ -11,7 +11,10 @@
 ///      rewritten planners reproduce them bit-identically, up to the
 ///      1000-node heterogeneous scale;
 ///   3. determinism: the parallel per-k sweep must return bit-identical
-///      results for any thread count.
+///      results for any thread count;
+///   4. reference parity: the bounded, root-attaching sweep returns the
+///      plan, report and trace of bench/reference_planners.hpp's sweep
+///      over every k with the original breadth-first agent scan.
 /// Plus unit coverage for the supporting pieces (NodeSet, IndexedHeap via
 /// best_adopter, ThreadPool::for_each nesting).
 
@@ -29,6 +32,8 @@
 #include "planner/planning_service.hpp"
 #include "planning_test_util.hpp"
 #include "platform/generator.hpp"
+
+#include "../bench/reference_planners.hpp"
 
 namespace adept {
 namespace {
@@ -464,6 +469,51 @@ TEST(ParallelSweep, ForEachSupportsNestedUse) {
   });
   for (const auto& row : hits)
     for (int count : row) EXPECT_EQ(count, 1);
+}
+
+// ------------------------------------- reference Algorithm-1 sweep parity --
+
+/// The production sweep visits only the agent counts whose structural
+/// minimum fits and attaches every agent to the root; the reference
+/// planner sweeps every k with the original breadth-first scan. Both must
+/// produce the same plan, report and trace on every catalog preset, at
+/// every n mod 3 and the single-agent edge (n = 2, 3), with and without
+/// a pool (which engages only from kParallelMinNodes, hence n = 97).
+TEST(ReferenceParity, HeuristicMatchesTheFullBreadthFirstSweep) {
+  ThreadPool pool(3);
+  const std::size_t sizes[] = {2,  3,  4,  5,  6,  7,  8,  9,  10,
+                               11, 12, 13, 25, 37, 50, 64, 97};
+  for (const auto& preset : gen::platform_catalog()) {
+    const bool clustered =
+        preset.name == "g5k-multi-cluster" || preset.name == "wan-clusters";
+    for (const std::size_t n : sizes) {
+      if (clustered && n < 8) continue;
+      const Platform platform = gen::catalog_platform(preset.name, n, 15);
+      for (const std::size_t grain : {10, 310, 1000}) {
+        const ServiceSpec service = dgemm_service(grain);
+        const auto unlimited = bench::reference_plan_heterogeneous(
+            platform, kParams, service);
+        // Half the unconstrained optimum: the demand stop always binds.
+        for (const RequestRate demand :
+             {kUnlimitedDemand, 0.5 * unlimited.report.overall}) {
+          const auto reference = bench::reference_plan_heterogeneous(
+              platform, kParams, service, demand);
+          for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr),
+                                      &pool}) {
+            SCOPED_TRACE(preset.name + " n=" + std::to_string(n) +
+                         " dgemm-" + std::to_string(grain) + " demand=" +
+                         std::to_string(demand) +
+                         (threads ? " pool" : " serial"));
+            const auto plan = plan_heterogeneous(platform, kParams, service,
+                                                 demand, threads);
+            EXPECT_EQ(plan.hierarchy, reference.hierarchy);
+            EXPECT_EQ(plan.report, reference.report);
+            EXPECT_EQ(plan.trace, reference.trace);
+          }
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ NodeSet coverage --
