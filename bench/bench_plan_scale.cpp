@@ -5,9 +5,9 @@
 /// headline claim of 1000-node platforms).
 ///
 /// For every size the harness runs
-///   - `heuristic`            — Algorithm 1 on the incremental engine
-///                              (parallel k-sweep over a thread pool);
-///   - `heuristic-serial`     — same, forced single-threaded;
+///   - `heuristic-serial`     — Algorithm 1 on the incremental engine,
+///                              its bound-pruned sweep (single-threaded:
+///                              the heuristic has no parallel path);
 ///   - `heuristic-reference`  — the pre-rewrite O(candidates × hierarchy)
 ///                              implementation (reference_planners.hpp);
 ///   - `improver` / `improver-reference` — the bottleneck improver grown
@@ -30,7 +30,6 @@
 
 #include "common/rng.hpp"
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
 
 namespace {
 
@@ -86,7 +85,6 @@ int main(int argc, char** argv) {
   const MiddlewareParams params = bench::params();
   const ServiceSpec service = dgemm_service(310);
   const ServiceSpec improver_service = dgemm_service(1000);
-  ThreadPool pool;
 
   bench::JsonBenchWriter json("plan_scale");
   Table table("plan_heterogeneous + improve_deployment, heterogeneous "
@@ -102,9 +100,6 @@ int main(int argc, char** argv) {
     const Platform platform = gen::grid5000_orsay_loaded(n, rng);
 
     // --- Algorithm 1 ----------------------------------------------------
-    const Measured parallel = measure(
-        [&] { return plan_heterogeneous(platform, params, service,
-                                        kUnlimitedDemand, &pool); });
     const Measured serial = measure(
         [&] { return plan_heterogeneous(platform, params, service); });
     Measured reference;
@@ -113,10 +108,9 @@ int main(int argc, char** argv) {
         return bench::reference_plan_heterogeneous(platform, params, service);
       });
 
-    const bool serial_same = serial.plan.hierarchy == parallel.plan.hierarchy;
     const bool reference_same =
-        !with_reference || reference.plan.hierarchy == parallel.plan.hierarchy;
-    all_identical = all_identical && serial_same && reference_same;
+        !with_reference || reference.plan.hierarchy == serial.plan.hierarchy;
+    all_identical = all_identical && reference_same;
 
     auto row = [&](const std::string& series, const Measured& m,
                    double baseline_ms, bool identical) {
@@ -129,8 +123,7 @@ int main(int argc, char** argv) {
                      identical ? "identical" : "DIVERGES"});
     };
     const double baseline_ms = with_reference ? reference.wall_ms : 0.0;
-    row("heuristic", parallel, baseline_ms, true);
-    row("heuristic-serial", serial, baseline_ms, serial_same);
+    row("heuristic-serial", serial, baseline_ms, true);
     if (with_reference) row("heuristic-reference", reference, 0.0, reference_same);
 
     auto record = [&](const std::string& series, const Measured& m,
@@ -138,12 +131,6 @@ int main(int argc, char** argv) {
       json.add({series, n, m.wall_ms, m.evaluations, m.plan.report.overall,
                 std::move(extra)});
     };
-    record("heuristic", parallel,
-           {{"speedup_vs_reference",
-             with_reference && parallel.wall_ms > 0.0
-                 ? reference.wall_ms / parallel.wall_ms
-                 : 0.0},
-            {"threads", static_cast<double>(pool.thread_count())}});
     record("heuristic-serial", serial,
            {{"speedup_vs_reference",
              with_reference && serial.wall_ms > 0.0

@@ -35,8 +35,8 @@ class ThreadPool {
   /// every index has finished. The *calling* thread participates in the
   /// work, so the call makes progress even when every worker is busy —
   /// which makes it safe to use from inside a task already running on
-  /// this pool (the planners fan their per-k sweeps out this way while
-  /// themselves executing as PlanningService jobs). Indices are claimed
+  /// this pool (the sharded planner fans its leaves out this way while
+  /// itself executing as a PlanningService job). Indices are claimed
   /// dynamically from a shared counter. If `body` throws, remaining
   /// indices are skipped and the first exception is rethrown on the
   /// caller — only after every in-flight index has finished, so the

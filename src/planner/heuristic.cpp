@@ -23,276 +23,225 @@
 /// weak end of the list). The first agent is the root and every other
 /// agent attaches under it, so a deployment has at most three levels and
 /// its structural minimum (root >= 1 child, other agents >= 2) takes
-/// 2(k-1) servers, or 1 for k = 1: only k = 1 … ⌊(n+2)/3⌋ fit on n nodes,
-/// and the sweep visits exactly those. Every intermediate valid
-/// deployment is a candidate; the best is returned.
-/// docs/ARCHITECTURE.md states the determinism rules the sweep keeps.
+/// 2(k-1) servers, or 1 for k = 1: only k = 1 … ⌊(n+2)/3⌋ fit on n nodes.
+/// Every intermediate valid deployment is a candidate; the best is
+/// returned. docs/ARCHITECTURE.md states the determinism rules the sweep
+/// keeps.
 ///
 /// Execution model (this file's performance architecture):
 ///   - each (polarity, k) block grows its deployment on a
-///     model::IncrementalEvaluator, so a growth step costs O(log n)
-///     instead of the former O(k) aggregate rescan, and *no* candidate is
-///     ever materialized or re-evaluated from scratch;
-///   - blocks are independent, so they fan out across an optional
-///     ThreadPool (ThreadPool::for_each; the caller participates, making
-///     nested use from PlanningService jobs deadlock-free);
-///   - each block records only (objective, nodes-used) per candidate; the
-///     winner is chosen by replaying those records **sequentially in
-///     (polarity, k, step) order with the exact historical comparison**,
-///     so the result is bit-identical to the former single-threaded sweep
-///     for any thread count, lowest k winning ties;
+///     model::IncrementalEvaluator, so a growth step costs O(log n) and
+///     no candidate is ever materialized or re-evaluated from scratch;
+///   - blocks run serially in the historical order (polarity-major, k
+///     ascending), and each built block offers its candidates to the
+///     incumbent at once, with the exact historical comparison
+///     (plan_candidate_beats), lowest k winning ties;
+///   - a block is built only if its detail::BlockBound could still beat
+///     the incumbent. The bound is min(demand, (1 + 1e-6) · min of two
+///     sides), each capping what every candidate of the block shares:
+///       * Eq 14 is a min over elements, and an agent's rate never rises
+///         with its degree (in floating point too), so the root at degree
+///         max(1, k-1), the weakest non-root agent at degree 2 and the
+///         last structural server each cap every candidate;
+///       * Eq 15 after j servers is 1 / ((1 + j·a) / S_j + c), servers
+///         joining in pool order. Over the suffix-max power envelope ŵ,
+///         S_(j+1) / (1 + (j+1)·a) is the mediant of S_j / (1 + j·a) and
+///         ŵ_j / a; ŵ never rises, so the ratio rises, then never rises
+///         again, and its maximum over j >= s is a binary search on
+///         prefix sums.
+///     The bound is tested at the fewest nodes the block can hold
+///     (k + s). plan_candidate_beats never turns true when the objective
+///     falls or the node count grows, so a block that fails this test
+///     holds no candidate that would replace the incumbent. Each skip is
+///     tested against the incumbent the full sweep holds at that point,
+///     so hierarchy, report and trace stay bit-identical by induction;
 ///   - only the winning candidate is rebuilt and materialized
 ///     (engine.snapshot()), then priced once for the final report.
 
+#include "planner/heuristic_sweep.hpp"
+
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
-#include "common/indexed_heap.hpp"
-#include "common/thread_pool.hpp"
-#include "model/incremental.hpp"
+#include "model/throughput.hpp"
 #include "planner/planner.hpp"
 
 namespace adept {
 
-namespace {
+namespace detail {
 
-/// Below this platform size the per-block work is too small to be worth
-/// shipping to other threads; the sweep runs inline on the caller.
-constexpr std::size_t kParallelMinNodes = 96;
-
-/// Algorithm-1 construction policy on top of the incremental engine: a
-/// root agent over k-1 agents plus water-filled servers. The engine owns
-/// the Eq-14/15/16 state; the builder owns only the structural-minimum
-/// selection heap.
-class Builder {
- public:
-  Builder(const Platform& platform, const MiddlewareParams& params,
-          const ServiceSpec& service, std::size_t capacity)
-      : engine_(platform, params, service), deficient_(DeficientLess{this}) {
-    engine_.reserve(capacity);
-  }
-
-  /// Installs the root agent.
-  void set_root(NodeId node) {
-    const auto root = engine_.add_root(node);
-    deficient_.push(root);  // the root needs >= 1 child
-  }
-
-  /// Servers the structural minimum takes for `agents` agents: a lone
-  /// root needs one; otherwise the other agents already give the root its
-  /// child and each of them needs two servers.
-  static constexpr std::size_t structural_servers(std::size_t agents) {
-    return agents == 1 ? 1 : 2 * (agents - 1);
-  }
-
-  /// Attaches a new agent under the root. Eq 14 is blind to depth, so a
-  /// chain of agents would predict the same throughput as a bushy tree —
-  /// but every level adds a request round-trip hop, and the paper's
-  /// generated deployments are 2–3 levels. Attaching to the root keeps
-  /// every deployment at three levels at most without hurting the Eq-14
-  /// minimum (the k-sweep snapshots protect against any per-k
-  /// construction being a bad fit).
-  void add_agent(NodeId node) {
-    const auto agent = engine_.add_agent(0, node);
-    on_degree_change(0);
-    deficient_.push(agent);  // a non-root agent needs >= 2 children
-  }
-
-  /// Gives every agent its structural minimum of children (servers drawn
-  /// from pool[next...]), always filling the agent that stays fastest.
-  /// Stops early only if the pool runs dry.
-  void fill_structural_minimum(const std::vector<NodeId>& pool,
-                               std::size_t& next) {
-    while (!deficient_.empty() && next < pool.size())
-      add_server_under(deficient_.top(), pool[next++]);
-  }
-
-  /// Attaches a server under the agent that stays fastest.
-  void add_server_best(NodeId node) {
-    add_server_under(engine_.best_adopter(), node);
-  }
-
-  RequestRate sched_throughput() const { return engine_.sched_throughput(); }
-  RequestRate service_throughput() const {
-    return engine_.service_throughput();
-  }
-  RequestRate overall_throughput() const { return engine_.throughput(); }
-  std::size_t nodes_used() const { return engine_.size(); }
-  Hierarchy materialize() const { return engine_.snapshot(); }
-
- private:
-  using Engine = model::IncrementalEvaluator;
-
-  /// Fastest-after-fill first (the historical stable_sort's order).
-  struct DeficientLess {
-    const Builder* owner;
-    bool operator()(std::size_t a, std::size_t b) const {
-      const auto& engine = owner->engine_;
-      if (engine.adopt_rate(a) != engine.adopt_rate(b))
-        return engine.adopt_rate(a) > engine.adopt_rate(b);
-      return a < b;
-    }
-  };
-
-  std::size_t minimum_degree(Engine::Index agent) const {
-    return agent == 0 ? 1 : 2;
-  }
-
-  void add_server_under(Engine::Index agent, NodeId node) {
-    engine_.add_server(agent, node);
-    on_degree_change(agent);
-  }
-
-  void on_degree_change(Engine::Index agent) {
-    if (deficient_.contains(agent)) {
-      if (engine_.degree(agent) >= minimum_degree(agent))
-        deficient_.erase(agent);
-      else
-        deficient_.update(agent);
-    }
-  }
-
-  Engine engine_;
-  IndexedHeap<DeficientLess> deficient_;
-};
-
-/// Largest agent count whose structural minimum fits on `n` >= 2 nodes:
-/// the sweep's upper bound, ⌊(n+2)/3⌋. A larger k runs out of servers
-/// before its first candidate.
 std::size_t max_agents(std::size_t n) {
   std::size_t k = 1;
-  while (k + 1 + Builder::structural_servers(k + 1) <= n) ++k;
+  while (k + 1 + structural_servers(k + 1) <= n) ++k;
   return k;
 }
 
-/// One scored intermediate deployment of a (polarity, k) block.
-struct Candidate {
-  RequestRate objective = 0.0;  ///< Demand-clipped throughput.
-  std::size_t nodes = 0;        ///< Elements deployed.
-};
-
-/// Runs one (polarity, k) block, k <= max_agents(n): grows the deployment
-/// and returns every candidate's score in growth order. When
-/// `rebuild_step` is given, construction instead stops at that candidate
-/// and materializes it into `*rebuilt`.
-/// `stop` is polled at block entry and per growth step: a cancelled or
-/// late run throws out of the block (and, via for_each, out of the sweep).
-std::vector<Candidate> run_block(const Platform& platform,
-                                 const MiddlewareParams& params,
-                                 const ServiceSpec& service,
-                                 RequestRate demand,
-                                 const std::vector<NodeId>& order,
-                                 int polarity, std::size_t k, StopGuard& stop,
-                                 std::size_t rebuild_step = Hierarchy::npos,
-                                 Hierarchy* rebuilt = nullptr) {
-  stop.check();
-  const std::size_t n = order.size();
-  // Agents and the server pool for this block, both listed
-  // strongest-scheduler first (polarity 1 spends the *weak* end of the
-  // list on agents — when the service side binds, every MFlop parked on
-  // an agent is a MFlop lost from Eq 15).
-  std::vector<NodeId> agents, pool;
-  agents.reserve(k);
-  pool.reserve(n - k);
-  if (polarity == 0) {
-    agents.assign(order.begin(), order.begin() + static_cast<long>(k));
-    pool.assign(order.begin() + static_cast<long>(k), order.end());
-  } else {
-    agents.assign(order.end() - static_cast<long>(k), order.end());
-    std::reverse(agents.begin(), agents.end());
-    pool.assign(order.begin(), order.end() - static_cast<long>(k));
-  }
-
-  Builder builder(platform, params, service, n);
-  builder.set_root(agents[0]);
-  for (std::size_t j = 1; j < k; ++j) builder.add_agent(agents[j]);
-
-  std::size_t next = 0;  // next unused node in the pool
-  builder.fill_structural_minimum(pool, next);
-  ADEPT_ASSERT(next == Builder::structural_servers(k),
-               "structural fill disagrees with the sweep bound");
-
-  std::vector<Candidate> candidates;
-  candidates.reserve(pool.size() - next + 1);
-  auto offer = [&]() -> bool {
-    candidates.push_back(
-        {std::min(builder.overall_throughput(), demand), builder.nodes_used()});
-    if (candidates.size() - 1 == rebuild_step) {
-      *rebuilt = builder.materialize();
-      return true;
-    }
-    return false;
-  };
-  if (offer()) return candidates;
-
-  // Water-fill the remaining nodes as servers while the servicing side is
-  // the bottleneck (vir_max_ser_pow < vir_max_sch_pow) and the demand is
-  // not yet met.
-  while (next < pool.size()) {
-    stop.check();
-    if (std::min(builder.overall_throughput(), demand) >= demand) break;
-    if (builder.sched_throughput() <= builder.service_throughput()) break;
-    builder.add_server_best(pool[next++]);
-    if (offer()) return candidates;
-  }
-  return candidates;
-}
-
-/// Streaming-best over candidates, replayed in the historical visit
-/// order: higher demand-clipped throughput wins; near-ties (1 part in
-/// 1e9) go to the smaller deployment.
-struct BestTracker {
-  bool have = false;
-  RequestRate objective = 0.0;
-  std::size_t nodes = 0;
-  std::size_t block = 0;  ///< Winning block index.
-  std::size_t step = 0;   ///< Winning candidate index within the block.
-
-  void offer(const Candidate& candidate, std::size_t at_block,
-             std::size_t at_step) {
-    const RequestRate obj = candidate.objective;
-    if (!have || plan_candidate_beats(obj, candidate.nodes, objective, nodes)) {
-      have = true;
-      objective = obj;
-      nodes = candidate.nodes;
-      block = at_block;
-      step = at_step;
-    }
-  }
-};
-
-}  // namespace
-
-PlanResult plan_heterogeneous(const Platform& platform,
-                              const MiddlewareParams& params,
-                              const ServiceSpec& service, RequestRate demand,
-                              ThreadPool* pool, const PlanOptions* control) {
+std::vector<NodeId> potential_order(const Platform& platform,
+                                    const MiddlewareParams& params) {
   const std::size_t n = platform.size();
-  ADEPT_CHECK(n >= 2, "a deployment needs at least two nodes");
-  ADEPT_CHECK(demand > 0.0, "client demand must be positive");
-  params.validate();
-  // One guard shared by every block (the deadline-trial counter is
-  // atomic); null control keeps every checkpoint a no-op, so the sweep
-  // stays bit-identical to the uncontrolled path.
-  StopGuard stop(control);
-  const MbitRate B = platform.bandwidth();
-
-  PlanResult result;
-
-  // Steps 1–2: sort by potential scheduling power with n-1 children
-  // (rates precomputed once per node, not per comparison).
+  // Rates precomputed once per node, not per comparison.
   std::vector<RequestRate> potential(n);
   for (NodeId id = 0; id < n; ++id)
     potential[id] = model::agent_sched_throughput(
-        params, platform.power(id), std::max<std::size_t>(1, n - 1), B);
+        params, platform.power(id), std::max<std::size_t>(1, n - 1),
+        platform.bandwidth());
   std::vector<NodeId> order(n);
   for (NodeId id = 0; id < n; ++id) order[id] = id;
   std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
     if (potential[a] != potential[b]) return potential[a] > potential[b];
     return a < b;
   });
+  return order;
+}
+
+BlockBound::BlockBound(const Platform& platform, const MiddlewareParams& params,
+                       const ServiceSpec& service, RequestRate demand,
+                       const std::vector<NodeId>& order)
+    : platform_(platform), params_(params), order_(order), demand_(demand),
+      load_per_server_(static_cast<long double>(params.server.wpre) /
+                       service.wapp),
+      comm_((static_cast<long double>(params.server.sreq) +
+             params.server.srep) /
+            platform.bandwidth()),
+      envelope_(order.size()), prefix_(order.size() + 1, 0.0L) {
+  // `order` is sorted by potential, and two different powers can round
+  // to the same potential: raw powers along it are non-increasing only up
+  // to those ties. The suffix max is non-increasing and >= every power.
+  long double running = 0.0L;
+  for (std::size_t i = order.size(); i-- > 0;) {
+    running = std::max(running, static_cast<long double>(
+                                    platform.power(order[i])) / service.wapp);
+    envelope_[i] = running;
+  }
+  for (std::size_t i = 0; i < order.size(); ++i)
+    prefix_[i + 1] = prefix_[i] + envelope_[i];
+}
+
+RequestRate BlockBound::sched_side(int polarity, std::size_t k) const {
+  const std::size_t n = order_.size();
+  auto agent_cap = [&](NodeId node, std::size_t degree) {
+    return model::agent_sched_throughput(params_, platform_.power(node),
+                                         degree, platform_.bandwidth());
+  };
+  // The root holds its k-1 agents (or its one server) in every candidate.
+  RequestRate side = agent_cap(polarity == 0 ? order_[0] : order_[n - 1],
+                               std::max<std::size_t>(1, k - 1));
+  // Every non-root agent keeps its two structural servers.
+  if (k >= 2) {
+    const NodeId weakest = polarity == 0 ? order_[k - 1] : order_[n - 2];
+    side = std::min(side, agent_cap(weakest, 2));
+  }
+  // pool[s-1] is the last server the structural fill places.
+  const std::size_t pool_begin = polarity == 0 ? k : 0;
+  const NodeId last_structural = order_[pool_begin + structural_servers(k) - 1];
+  return std::min(side, model::server_sched_throughput(
+                            params_, platform_.power(last_structural),
+                            platform_.bandwidth()));
+}
+
+RequestRate BlockBound::service_side(int polarity, std::size_t k) const {
+  const std::size_t pool_begin = polarity == 0 ? k : 0;
+  const std::size_t pool_size = order_.size() - k;
+  const long double a = load_per_server_;
+  // Envelope power sum of the first j pool servers.
+  auto sum = [&](std::size_t j) {
+    return prefix_[pool_begin + j] - prefix_[pool_begin];
+  };
+  // "Adding pool[j] no longer raises S_j / (1 + j·a)": false, then true.
+  auto saturated = [&](std::size_t j) {
+    const long double load = 1.0L + static_cast<long double>(j) * a;
+    return envelope_[pool_begin + j] * load <= a * sum(j);
+  };
+  std::size_t lo = structural_servers(k), hi = pool_size;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (saturated(mid))
+      hi = mid;
+    else
+      lo = mid + 1;
+  }
+  const long double comp = (1.0L + static_cast<long double>(lo) * a) / sum(lo);
+  return static_cast<RequestRate>(1.0L / (comp + comm_));
+}
+
+namespace {
+
+/// Streaming-best over candidates in the historical visit order: higher
+/// demand-clipped throughput wins; near-ties (1 part in 1e9) go to the
+/// smaller deployment.
+struct BestTracker {
+  bool have = false;
+  SweepResult best;
+
+  void offer(const Candidate& candidate, int polarity, std::size_t k,
+             std::size_t step) {
+    if (!have || plan_candidate_beats(candidate.objective, candidate.nodes,
+                                      best.objective, best.nodes)) {
+      have = true;
+      best.objective = candidate.objective;
+      best.nodes = candidate.nodes;
+      best.polarity = polarity;
+      best.k = k;
+      best.step = step;
+    }
+  }
+};
+
+}  // namespace
+
+SweepResult sweep(const Platform& platform, const MiddlewareParams& params,
+                  const ServiceSpec& service, RequestRate demand,
+                  const std::vector<NodeId>& order, StopGuard& stop) {
+  const BlockBound bound(platform, params, service, demand, order);
+  const int polarities = platform.is_homogeneous() ? 1 : 2;
+  const std::size_t k_max = max_agents(order.size());
+  BestTracker tracker;
+  std::size_t built = 0;
+  for (int polarity = 0; polarity < polarities; ++polarity) {
+    for (std::size_t k = 1; k <= k_max; ++k) {
+      // Block (0, 1) always runs: the tracker is still empty.
+      if (tracker.have &&
+          !plan_candidate_beats(bound(polarity, k), k + structural_servers(k),
+                                tracker.best.objective, tracker.best.nodes))
+        continue;
+      ++built;
+      std::size_t step = 0;
+      run_block(platform, params, service, demand, order, polarity, k, stop,
+                [&](const Candidate& candidate, const Builder&) {
+                  tracker.offer(candidate, polarity, k, step++);
+                  return false;
+                });
+      if (polarity == 0 && k == 1) {
+        tracker.best.star_objective = tracker.best.objective;
+        tracker.best.star_nodes = tracker.best.nodes;
+      }
+    }
+  }
+  ADEPT_ASSERT(tracker.have, "heuristic found no feasible deployment");
+  tracker.best.blocks_built = built;
+  return tracker.best;
+}
+
+}  // namespace detail
+
+PlanResult plan_heterogeneous(const Platform& platform,
+                              const MiddlewareParams& params,
+                              const ServiceSpec& service, RequestRate demand,
+                              ThreadPool* /*pool: unused*/,
+                              const PlanOptions* control) {
+  const std::size_t n = platform.size();
+  ADEPT_CHECK(n >= 2, "a deployment needs at least two nodes");
+  ADEPT_CHECK(demand > 0.0, "client demand must be positive");
+  params.validate();
+  // Null control keeps every checkpoint a no-op, so the sweep stays
+  // bit-identical to the uncontrolled path.
+  StopGuard stop(control);
+  const MbitRate B = platform.bandwidth();
+
+  PlanResult result;
+
+  // Steps 1–2: sort by potential scheduling power with n-1 children.
+  const std::vector<NodeId> order = detail::potential_order(platform, params);
 
   // Steps 3–7: if a single-child agent is already the bottleneck against
   // one server (or against the demand), the best deployment is the pair.
@@ -318,47 +267,23 @@ PlanResult plan_heterogeneous(const Platform& platform,
 
   // Main growth: each block (polarity, k) grows a deployment with k
   // agents — the k-th iteration converts the previous frontier server
-  // into an agent, the paper's shift_nodes. Only the k whose structural
-  // minimum fits can yield a candidate, so no other block is built.
-  // Blocks are independent, so they run across the pool; determinism
-  // comes from the ordered replay below, not from scheduling.
-  const int polarities = platform.is_homogeneous() ? 1 : 2;
-  const std::size_t per_polarity = max_agents(n);  // k = 1 .. max_agents(n)
-  const std::size_t block_count =
-      static_cast<std::size_t>(polarities) * per_polarity;
-  std::vector<std::vector<Candidate>> blocks(block_count);
-  auto run = [&](std::size_t b) {
-    const int polarity = static_cast<int>(b / per_polarity);
-    const std::size_t k = 1 + b % per_polarity;
-    blocks[b] =
-        run_block(platform, params, service, demand, order, polarity, k, stop);
-  };
-  if (pool != nullptr && pool->thread_count() > 1 && n >= kParallelMinNodes) {
-    pool->for_each(block_count, run);
-  } else {
-    for (std::size_t b = 0; b < block_count; ++b) run(b);
-  }
-
-  // Deterministic reduction: visit candidates in exactly the order the
-  // historical sequential sweep offered them (polarity-major, then k
-  // ascending, then growth step), so the tolerance comparison picks the
-  // same winner — the lowest k on ties.
-  BestTracker best;
-  for (std::size_t b = 0; b < block_count; ++b) {
-    for (std::size_t step = 0; step < blocks[b].size(); ++step)
-      best.offer(blocks[b][step], b, step);
-    if (b == 0)  // after the polarity-0, k=1 (star family) block
-      result.trace.push_back("k=1 (star family): best so far " +
-                             std::to_string(best.objective) + " req/s with " +
-                             std::to_string(best.nodes) + " nodes");
-  }
-  ADEPT_ASSERT(best.have, "heuristic found no feasible deployment");
+  // into an agent, the paper's shift_nodes.
+  const detail::SweepResult best =
+      detail::sweep(platform, params, service, demand, order, stop);
+  result.trace.push_back("k=1 (star family): best so far " +
+                         std::to_string(best.star_objective) + " req/s with " +
+                         std::to_string(best.star_nodes) + " nodes");
 
   // Materialize only the winner: replay its block up to the winning step.
   Hierarchy winner;
-  run_block(platform, params, service, demand, order,
-            static_cast<int>(best.block / per_polarity),
-            1 + best.block % per_polarity, stop, best.step, &winner);
+  std::size_t step = 0;
+  detail::run_block(platform, params, service, demand, order, best.polarity,
+                    best.k, stop,
+                    [&](const detail::Candidate&, const detail::Builder& b) {
+                      if (step++ < best.step) return false;
+                      winner = b.materialize();
+                      return true;
+                    });
   ADEPT_ASSERT(!winner.empty(), "winning candidate failed to rebuild");
 
   result.trace.push_back(

@@ -83,12 +83,13 @@ PlanResult plan_homogeneous_optimal(const Platform& platform,
 /// One deployment is grown per agent count k: the root plus k-1 agents
 /// attached under it, each non-root agent given its two structural
 /// servers. Only k = 1 … ⌊(n+2)/3⌋ fit on n nodes, so only those are
-/// swept. Candidates are priced on the incremental evaluation engine
-/// (model::IncrementalEvaluator) and the independent per-k sweeps fan out
-/// across `pool` when one is provided (PlanOptions::pool plumbs the
-/// PlanningService's pool through). The result is bit-identical for any
-/// pool size, including none: the per-k results are reduced in a fixed
-/// deterministic order, lowest k winning ties.
+/// swept, serially, lowest k winning ties. Candidates are priced on the
+/// incremental evaluation engine (model::IncrementalEvaluator), and a
+/// k whose Eq-14/15 upper bound cannot beat the best candidate so far is
+/// never built: the result is bit-identical to the full sweep's.
+///
+/// `pool` is unused and kept only for source compatibility; the pruned
+/// serial sweep beats the former fan-out at every size.
 ///
 /// `control` (optional, not owned) supplies a deadline / cancel token the
 /// growth loops poll through a StopGuard: a cancelled or late run throws

@@ -259,7 +259,7 @@ PlannerRun PlanningService::execute(const PlanRequest& request,
       }
     }
     // Offer the service's pool for the planner's internal parallelism
-    // (the heuristic's per-k sweep). Safe when this job itself runs on a
+    // (the sharded planner's leaves). Safe when this job itself runs on a
     // pool worker: ThreadPool::for_each has the submitting thread
     // participate, so nested fan-out cannot deadlock — and results are
     // bit-identical with or without the pool.

@@ -262,7 +262,8 @@ class PlanningService {
 
   /// Runs one planner synchronously on the calling thread. The service's
   /// pool is offered to the planner for its internal parallelism (e.g.
-  /// the heuristic's per-k sweep) unless the request already carries one.
+  /// the sharded planner's leaves) unless the request already carries
+  /// one.
   PlannerRun run(const PlanRequest& request, const std::string& planner);
 
   /// Runs independent jobs across the pool; results align with `jobs`.

@@ -96,10 +96,10 @@ struct PlanOptions {
   std::optional<std::chrono::steady_clock::time_point> deadline;
   /// Optional cancellation token; not owned, may be null.
   const CancelToken* cancel = nullptr;
-  /// Optional pool for a planner's *internal* parallelism (the heuristic
-  /// fans its per-k sweeps out over it). Not owned, may be null; the
-  /// PlanningService plumbs its own pool in, and results are identical
-  /// with or without one.
+  /// Optional pool for a planner's *internal* parallelism (the sharded
+  /// planners plan their leaves over it; the heuristic ignores it). Not
+  /// owned, may be null; the PlanningService plumbs its own pool in, and
+  /// results are identical with or without one.
   ThreadPool* pool = nullptr;
   /// Optional shard-level plan cache (planner/shard_cache.hpp) the
   /// sharded/distributed planners' leaf path consults. Not owned, may be
@@ -125,8 +125,8 @@ struct PlanOptions {
 /// kDeadlineStride-th call only, keeping the clock off the hot path.
 /// check() throws adept::Error when the run must stop; the
 /// PlanningService classifies such a late abort as skipped, not failed.
-/// Thread-safe: parallel per-k blocks share one guard (the trial counter
-/// is atomic), and a throw propagates through ThreadPool::for_each.
+/// Thread-safe (the trial counter is atomic), so pool workers may share
+/// one guard; a throw propagates through ThreadPool::for_each.
 class StopGuard {
  public:
   /// The deadline clock is read once per this many check() calls.

@@ -10,17 +10,21 @@
 ///      floats) captured from the pre-rewrite planners, asserting the
 ///      rewritten planners reproduce them bit-identically, up to the
 ///      1000-node heterogeneous scale;
-///   3. determinism: the parallel per-k sweep must return bit-identical
-///      results for any thread count;
+///   3. determinism: plans must be bit-identical with and without a
+///      thread pool, directly and through the PlanningService;
 ///   4. reference parity: the bounded, root-attaching sweep returns the
 ///      plan, report and trace of bench/reference_planners.hpp's sweep
-///      over every k with the original breadth-first agent scan.
+///      over every k with the original breadth-first agent scan;
+///   5. the sweep's pruning: no candidate of any block exceeds its
+///      detail::BlockBound, the bound prunes most blocks of a fixed mix,
+///      and plan_candidate_beats is monotone, which makes a skip exact.
 /// Plus unit coverage for the supporting pieces (NodeSet, IndexedHeap via
 /// best_adopter, ThreadPool::for_each nesting).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -29,6 +33,7 @@
 #include "common/thread_pool.hpp"
 #include "model/hetero_comm.hpp"
 #include "model/incremental.hpp"
+#include "planner/heuristic_sweep.hpp"
 #include "planner/planning_service.hpp"
 #include "planning_test_util.hpp"
 #include "platform/generator.hpp"
@@ -474,11 +479,12 @@ TEST(ParallelSweep, ForEachSupportsNestedUse) {
 // ------------------------------------- reference Algorithm-1 sweep parity --
 
 /// The production sweep visits only the agent counts whose structural
-/// minimum fits and attaches every agent to the root; the reference
-/// planner sweeps every k with the original breadth-first scan. Both must
-/// produce the same plan, report and trace on every catalog preset, at
-/// every n mod 3 and the single-agent edge (n = 2, 3), with and without
-/// a pool (which engages only from kParallelMinNodes, hence n = 97).
+/// minimum fits, prunes the blocks whose bound cannot win and attaches
+/// every agent to the root; the reference planner sweeps every k with
+/// the original breadth-first scan. Both must produce the same plan,
+/// report and trace on every catalog preset, at every n mod 3 and the
+/// single-agent edge (n = 2, 3), with and without a pool (which must not
+/// change a plan).
 TEST(ReferenceParity, HeuristicMatchesTheFullBreadthFirstSweep) {
   ThreadPool pool(3);
   const std::size_t sizes[] = {2,  3,  4,  5,  6,  7,  8,  9,  10,
@@ -511,6 +517,125 @@ TEST(ReferenceParity, HeuristicMatchesTheFullBreadthFirstSweep) {
             EXPECT_EQ(plan.trace, reference.trace);
           }
         }
+      }
+    }
+  }
+}
+
+// ------------------------------------------------- pruned sweep (bound) --
+
+/// Every block of every ReferenceParity platform (plus 150 and 310
+/// nodes, and a demand that binds) is built in full, and no candidate
+/// may exceed the block's bound: a pruned block can then never hold a
+/// candidate the full sweep would have kept.
+TEST(SweepBound, NoCandidateExceedsItsBlockBound) {
+  const std::size_t sizes[] = {2,  3,  4,  5,  6,  7,  8,  9,  10,  11,
+                               12, 13, 25, 37, 50, 64, 97, 150, 310};
+  std::size_t candidates = 0;
+  for (const auto& preset : gen::platform_catalog()) {
+    const bool clustered =
+        preset.name == "g5k-multi-cluster" || preset.name == "wan-clusters";
+    for (const std::size_t n : sizes) {
+      if (clustered && n < 8) continue;
+      const Platform platform = gen::catalog_platform(preset.name, n, 15);
+      const std::vector<NodeId> order =
+          detail::potential_order(platform, kParams);
+      for (const std::size_t grain : {10, 310, 1000}) {
+        const ServiceSpec service = dgemm_service(grain);
+        for (const RequestRate demand : {kUnlimitedDemand, 50.0}) {
+          const detail::BlockBound bound(platform, kParams, service, demand,
+                                         order);
+          for (int polarity = 0; polarity < 2; ++polarity) {
+            for (std::size_t k = 1; k <= detail::max_agents(n); ++k) {
+              const RequestRate cap = bound(polarity, k);
+              StopGuard stop(nullptr);
+              detail::run_block(
+                  platform, kParams, service, demand, order, polarity, k,
+                  stop, [&](const detail::Candidate& candidate,
+                            const detail::Builder&) {
+                    ++candidates;
+                    EXPECT_LE(candidate.objective, cap)
+                        << preset.name << " n=" << n << " dgemm-" << grain
+                        << " demand=" << demand << " polarity=" << polarity
+                        << " k=" << k << " nodes=" << candidate.nodes;
+                    EXPECT_GE(candidate.nodes,
+                              k + detail::structural_servers(k));
+                    return false;
+                  });
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(candidates, 100000u);
+}
+
+/// Both sides of the bound must pull their weight: on a fixed mix shaped
+/// like bench/e2e's serve-cold stream (50–200 nodes, three presets,
+/// dgemm-310) the sweep builds few of its blocks. Dropping either side
+/// only loosens the bound, so no soundness test can notice; this one
+/// does.
+TEST(SweepBound, PrunesMostBlocksOfAColdMix) {
+  const char* const presets[] = {"uniform", "long-tail", "orsay"};
+  const ServiceSpec service = dgemm_service(310);
+  Rng rng(41);
+  std::size_t built = 0, blocks = 0;
+  for (std::size_t i = 0; i < 90; ++i) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(50, 200));
+    const Platform platform =
+        gen::catalog_platform(presets[i % 3], n, 1000 + i);
+    const std::vector<NodeId> order =
+        detail::potential_order(platform, kParams);
+    StopGuard stop(nullptr);
+    built += detail::sweep(platform, kParams, service, kUnlimitedDemand,
+                           order, stop)
+                 .blocks_built;
+    blocks += (platform.is_homogeneous() ? 1 : 2) * detail::max_agents(n);
+  }
+  EXPECT_GT(blocks, 5000u);
+  EXPECT_LE(built, 360u) << "of " << blocks << " blocks";
+}
+
+/// The skip rule tests the bound at the block's fewest nodes; that covers
+/// every candidate of the block only because plan_candidate_beats never
+/// turns from false to true as rho_new falls or nodes_new grows —
+/// including across the 1e-9 near-tie band, one ulp at a time.
+TEST(SweepBound, CandidateComparisonIsMonotone) {
+  for (const RequestRate rho_old : {1e-3, 1.0, 427.8241531020139, 7.5e6}) {
+    std::vector<RequestRate> rhos = {0.0, 0.5 * rho_old, 2.0 * rho_old};
+    for (const RequestRate anchor :
+         {rho_old * (1.0 + 1e-9), rho_old, rho_old * (1.0 - 1e-9)}) {
+      RequestRate up = anchor, down = anchor;
+      for (int step = 0; step < 200; ++step) {
+        rhos.push_back(up);
+        rhos.push_back(down);
+        up = std::nextafter(up, 2.0 * rho_old);
+        down = std::nextafter(down, 0.0);
+      }
+    }
+    std::sort(rhos.begin(), rhos.end(), std::greater<>());
+    const std::size_t nodes_old = 10;
+    for (const std::size_t nodes_new : {1u, 9u, 10u, 11u, 40u}) {
+      bool beaten = true;  // walking rho_new down: true, then false for good
+      for (const RequestRate rho_new : rhos) {
+        const bool beats =
+            plan_candidate_beats(rho_new, nodes_new, rho_old, nodes_old);
+        EXPECT_FALSE(beats && !beaten)
+            << "rho_old=" << rho_old << " rho_new=" << rho_new
+            << " nodes_new=" << nodes_new;
+        beaten = beats;
+      }
+    }
+    for (const RequestRate rho_new : rhos) {
+      bool beaten = true;  // walking nodes_new up
+      for (std::size_t nodes_new = 0; nodes_new < 20; ++nodes_new) {
+        const bool beats =
+            plan_candidate_beats(rho_new, nodes_new, rho_old, nodes_old);
+        EXPECT_FALSE(beats && !beaten)
+            << "rho_old=" << rho_old << " rho_new=" << rho_new
+            << " nodes_new=" << nodes_new;
+        beaten = beats;
       }
     }
   }
