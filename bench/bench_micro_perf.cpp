@@ -1,13 +1,16 @@
 /// \file bench_micro_perf.cpp
 /// \brief google-benchmark microbenchmarks: cost scaling of the model
-/// evaluation, the planners, the simulator, and the DGEMM kernel. These
-/// guard the "plans a 200-node cluster interactively" property the CLI
-/// relies on.
+/// evaluation, the planners, the wire codecs, the simulator, and the
+/// DGEMM kernel. These guard the "plans a 200-node cluster
+/// interactively" property the CLI relies on.
 
 #include <benchmark/benchmark.h>
 
+#include "common/json.hpp"
+#include "io/wire.hpp"
 #include "model/evaluate.hpp"
 #include "planner/planner.hpp"
+#include "planner/planning_service.hpp"
 #include "platform/generator.hpp"
 #include "sim/simulator.hpp"
 #include "workload/dgemm.hpp"
@@ -79,6 +82,79 @@ void BM_PlanHeuristic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlanHeuristic)->Range(8, 256)->Unit(benchmark::kMillisecond);
+
+/// A serve plan-request line for an n-node platform, and its request.
+PlanRequest wire_request(std::size_t n) {
+  Rng rng(7);
+  return PlanRequest(
+      std::make_shared<const Platform>(
+          gen::uniform(n, 200.0, 1200.0, 1000.0, rng)),
+      kParams, dgemm_service(310));
+}
+
+/// serve's request decode: straight from bytes (`stream`), or the DOM
+/// path it falls back to (json::parse + wire::plan_line_from_json).
+void BM_WireDecode(benchmark::State& state, bool stream) {
+  const PlanRequest request =
+      wire_request(static_cast<std::size_t>(state.range(0)));
+  json::Value doc = wire::to_json(request);
+  doc.set("id", 1);
+  doc.set("planner", "heuristic");
+  const std::string line = doc.dump();
+  for (auto _ : state) {
+    if (stream) {
+      benchmark::DoNotOptimize(wire::decode_plan_line(line));
+    } else {
+      benchmark::DoNotOptimize(wire::plan_line_from_json(json::parse(line)));
+    }
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<long long>(line.size()));
+}
+BENCHMARK_CAPTURE(BM_WireDecode, stream, true)->Arg(50)->Arg(125)->Arg(310);
+BENCHMARK_CAPTURE(BM_WireDecode, dom, false)->Arg(50)->Arg(125)->Arg(310);
+
+/// serve's answer encode for a heuristic plan's run: the streaming
+/// writer (`stream`) or the DOM build + dump.
+void BM_WireEncode(benchmark::State& state, bool stream) {
+  const PlanRequest request =
+      wire_request(static_cast<std::size_t>(state.range(0)));
+  PlanningService service(1);
+  const PlannerRun run = service.run(request, "heuristic");
+  for (auto _ : state) {
+    std::string line;
+    if (stream) {
+      json::Writer out(line);
+      out.begin_object().key("id").index(1).key("ok").boolean(run.ok);
+      out.key("run");
+      wire::write(out, run);
+      out.end_object();
+    } else {
+      json::Value response = json::Value::object();
+      response.set("id", 1);
+      response.set("ok", run.ok);
+      response.set("run", wire::to_json(run));
+      line = response.dump();
+    }
+    benchmark::DoNotOptimize(line);
+  }
+}
+BENCHMARK_CAPTURE(BM_WireEncode, stream, true)->Arg(50)->Arg(125)->Arg(310);
+BENCHMARK_CAPTURE(BM_WireEncode, dom, false)->Arg(50)->Arg(125)->Arg(310);
+
+/// The plan-cache key: request_fingerprint's bytes streamed into two
+/// keyed SipHash-2-4 streams.
+void BM_RequestKey(benchmark::State& state) {
+  const PlanRequest request =
+      wire_request(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(wire::request_key(request, "heuristic"));
+  state.SetBytesProcessed(
+      state.iterations() *
+      static_cast<long long>(
+          wire::request_fingerprint(request, "heuristic").size()));
+}
+BENCHMARK(BM_RequestKey)->Arg(50)->Arg(125)->Arg(310);
 
 void BM_PlanHomogeneousOptimal(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

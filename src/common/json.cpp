@@ -28,9 +28,22 @@ const char* type_name(Value::Type type) {
               wanted);
 }
 
+/// as_index's domain: a non-negative integer a double holds exactly.
+bool is_index(double n) {
+  return n >= 0.0 && std::floor(n) == n && n <= 9.007199254740992e15;
+}
+
 void write_escaped(std::string_view s, std::string& out) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (const char c : s) {
+  // Append clean runs in one go; only the bytes that need an escape
+  // break a run.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -39,16 +52,13 @@ void write_escaped(std::string_view s, std::string& out) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;  // UTF-8 bytes pass through verbatim
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);  // UTF-8 passes verbatim
   out += '"';
 }
 
@@ -65,265 +75,17 @@ void write_number(double value, std::string& out) {
   out.append(buffer, result.ptr);
 }
 
-/// Containers deeper than this fail to parse. The recursive-descent
-/// parser spends stack per nesting level; without a ceiling one hostile
-/// line ("[[[[...") would overflow the stack of whatever is serving.
+/// Containers deeper than this fail to parse. Building a DOM spends
+/// stack per nesting level; without a ceiling one hostile line
+/// ("[[[[...") would overflow the stack of whatever is serving.
 constexpr std::size_t kMaxDepth = 192;
 
-/// Strict recursive-descent parser over a string_view with 1-based
-/// line/column diagnostics.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Value run() {
-    Value value = parse_value();
-    skip_whitespace();
-    if (pos_ != text_.size()) fail("trailing input after JSON document");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    std::size_t line = 1, column = 1;
-    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') {
-        ++line;
-        column = 1;
-      } else {
-        ++column;
-      }
-    }
-    throw Error("JSON parse error at " + std::to_string(line) + ":" +
-                std::to_string(column) + ": " + message);
-  }
-
-  bool eof() const { return pos_ >= text_.size(); }
-  char peek() const { return text_[pos_]; }
-
-  void skip_whitespace() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                      peek() == '\r'))
-      ++pos_;
-  }
-
-  void expect(char c) {
-    if (eof() || peek() != c)
-      fail(std::string("expected '") + c + "'" +
-           (eof() ? " but input ended" : ""));
-    ++pos_;
-  }
-
-  bool consume_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
-    pos_ += literal.size();
-    return true;
-  }
-
-  Value parse_value() {
-    skip_whitespace();
-    if (eof()) fail("unexpected end of input");
-    switch (peek()) {
-      case 'n':
-        if (!consume_literal("null")) fail("bad literal");
-        return Value();
-      case 't':
-        if (!consume_literal("true")) fail("bad literal");
-        return Value(true);
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal");
-        return Value(false);
-      case '"': return Value(parse_string());
-      case '[': return parse_array();
-      case '{': return parse_object();
-      default: return parse_number();
-    }
-  }
-
-  bool digit() const { return !eof() && peek() >= '0' && peek() <= '9'; }
-
-  Value parse_number() {
-    // Enforce the JSON number grammar ('-'? int frac? exp?, no leading
-    // zeros) before handing the span to from_chars, which is laxer.
-    const std::size_t start = pos_;
-    if (!eof() && peek() == '-') ++pos_;
-    if (!digit()) {
-      pos_ = start;
-      fail("malformed number");
-    }
-    if (peek() == '0') {
-      ++pos_;
-      if (digit()) {
-        pos_ = start;
-        fail("number has a leading zero");
-      }
-    } else {
-      while (digit()) ++pos_;
-    }
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      if (!digit()) {
-        pos_ = start;
-        fail("malformed number");
-      }
-      while (digit()) ++pos_;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (!digit()) {
-        pos_ = start;
-        fail("malformed number");
-      }
-      while (digit()) ++pos_;
-    }
-    double value = 0.0;
-    const char* begin = text_.data() + start;
-    const char* end = text_.data() + pos_;
-    const auto result = std::from_chars(begin, end, value);
-    if (result.ec != std::errc() || result.ptr != end) {
-      pos_ = start;
-      fail("malformed number");
-    }
-    return Value(value);
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (eof()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("raw control character in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (eof()) fail("unterminated escape");
-      const char escape = text_[pos_++];
-      switch (escape) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': append_unicode_escape(out); break;
-        default: fail("unknown escape sequence");
-      }
-    }
-  }
-
-  std::uint32_t parse_hex4() {
-    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-    std::uint32_t code = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_++];
-      code <<= 4;
-      if (c >= '0' && c <= '9') code |= static_cast<std::uint32_t>(c - '0');
-      else if (c >= 'a' && c <= 'f') code |= static_cast<std::uint32_t>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') code |= static_cast<std::uint32_t>(c - 'A' + 10);
-      else fail("bad hex digit in \\u escape");
-    }
-    return code;
-  }
-
-  void append_unicode_escape(std::string& out) {
-    std::uint32_t code = parse_hex4();
-    if (code >= 0xD800 && code <= 0xDBFF) {  // high surrogate
-      if (!consume_literal("\\u")) fail("unpaired surrogate");
-      const std::uint32_t low = parse_hex4();
-      if (low < 0xDC00 || low > 0xDFFF) fail("bad low surrogate");
-      code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-    } else if (code >= 0xDC00 && code <= 0xDFFF) {
-      fail("unpaired surrogate");
-    }
-    // UTF-8 encode.
-    if (code < 0x80) {
-      out += static_cast<char>(code);
-    } else if (code < 0x800) {
-      out += static_cast<char>(0xC0 | (code >> 6));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else if (code < 0x10000) {
-      out += static_cast<char>(0xE0 | (code >> 12));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (code >> 18));
-      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (code & 0x3F));
-    }
-  }
-
-  struct DepthGuard {
-    explicit DepthGuard(Parser& parser) : parser_(parser) {
-      if (++parser_.depth_ > kMaxDepth) parser_.fail("nesting too deep");
-    }
-    ~DepthGuard() { --parser_.depth_; }
-    Parser& parser_;
-  };
-
-  Value parse_array() {
-    const DepthGuard guard(*this);
-    expect('[');
-    Value out = Value::array();
-    skip_whitespace();
-    if (!eof() && peek() == ']') {
-      ++pos_;
-      return out;
-    }
-    while (true) {
-      out.push_back(parse_value());
-      skip_whitespace();
-      if (eof()) fail("unterminated array");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return out;
-    }
-  }
-
-  Value parse_object() {
-    const DepthGuard guard(*this);
-    expect('{');
-    Value out = Value::object();
-    skip_whitespace();
-    if (!eof() && peek() == '}') {
-      ++pos_;
-      return out;
-    }
-    while (true) {
-      skip_whitespace();
-      if (eof() || peek() != '"') fail("expected object key string");
-      std::string key = parse_string();
-      if (out.find(key) != nullptr) fail("duplicate object key '" + key + "'");
-      skip_whitespace();
-      expect(':');
-      out.set(std::move(key), parse_value());
-      skip_whitespace();
-      if (eof()) fail("unterminated object");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return out;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t depth_ = 0;
-};
+/// Streaming mode hands the sink chunks of about this many bytes.
+constexpr std::size_t kChunkBytes = 4096;
 
 }  // namespace
+
+// ------------------------------------------------------------------ Value --
 
 bool Value::as_bool() const {
   if (type_ != Type::Bool) type_error("bool", type_);
@@ -352,8 +114,7 @@ const Value::Object& Value::as_object() const {
 
 std::size_t Value::as_index() const {
   const double n = as_number();
-  ADEPT_CHECK(n >= 0.0 && std::floor(n) == n && n <= 9.007199254740992e15,
-              "JSON number is not a non-negative integer index");
+  ADEPT_CHECK(is_index(n), "JSON number is not a non-negative integer index");
   return static_cast<std::size_t>(n);
 }
 
@@ -401,42 +162,488 @@ bool Value::operator==(const Value& other) const {
   return false;
 }
 
-void Value::write(std::string& out) const {
-  switch (type_) {
-    case Type::Null: out += "null"; return;
-    case Type::Bool: out += bool_ ? "true" : "false"; return;
-    case Type::Number: write_number(number_, out); return;
-    case Type::String: write_escaped(string_, out); return;
-    case Type::Array: {
-      out += '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i != 0) out += ',';
-        array_[i].write(out);
-      }
-      out += ']';
-      return;
+std::string Value::dump() const {
+  std::string out;
+  Writer(out).value(*this);
+  return out;
+}
+
+// ----------------------------------------------------------------- Writer --
+
+Writer::Writer(ByteSink& sink) : out_(&buffer_), sink_(&sink) {
+  buffer_.reserve(2 * kChunkBytes);
+}
+
+void Writer::separate() {
+  if (need_comma_) *out_ += ',';
+}
+
+void Writer::emitted() {
+  need_comma_ = true;
+  if (sink_ != nullptr && buffer_.size() >= kChunkBytes) flush();
+}
+
+Writer& Writer::begin_object() {
+  separate();
+  *out_ += '{';
+  need_comma_ = false;
+  return *this;
+}
+
+Writer& Writer::end_object() {
+  *out_ += '}';
+  emitted();
+  return *this;
+}
+
+Writer& Writer::begin_array() {
+  separate();
+  *out_ += '[';
+  need_comma_ = false;
+  return *this;
+}
+
+Writer& Writer::end_array() {
+  *out_ += ']';
+  emitted();
+  return *this;
+}
+
+Writer& Writer::key(std::string_view name) {
+  separate();
+  write_escaped(name, *out_);
+  *out_ += ':';
+  need_comma_ = false;
+  return *this;
+}
+
+Writer& Writer::null() {
+  separate();
+  *out_ += "null";
+  emitted();
+  return *this;
+}
+
+Writer& Writer::boolean(bool b) {
+  separate();
+  *out_ += b ? "true" : "false";
+  emitted();
+  return *this;
+}
+
+Writer& Writer::number(double n) {
+  separate();
+  write_number(n, *out_);
+  emitted();
+  return *this;
+}
+
+Writer& Writer::index(std::size_t n) {
+  // Below 2^53 the double is the integer itself, and its shortest
+  // round-trip digits are the integer's digits less trailing zeros.
+  // to_chars prints the scientific form ("9e+05", "1.2e+07") only when
+  // it is strictly shorter than the plain one, ties going to plain.
+  if (n >= (std::size_t{1} << 53)) return number(static_cast<double>(n));
+  separate();
+  char digits[20];
+  const std::size_t length = static_cast<std::size_t>(
+      std::to_chars(digits, digits + sizeof digits, n).ptr - digits);
+  std::size_t significant = length;
+  while (significant > 1 && digits[significant - 1] == '0') --significant;
+  // "D" or "D.DDD", then "e+XX": the exponent is length - 1 < 16.
+  const std::size_t scientific = (significant == 1 ? 1 : significant + 1) + 4;
+  if (scientific < length) {
+    *out_ += digits[0];
+    if (significant > 1) {
+      *out_ += '.';
+      out_->append(digits + 1, significant - 1);
     }
-    case Type::Object: {
-      out += '{';
-      for (std::size_t i = 0; i < object_.size(); ++i) {
-        if (i != 0) out += ',';
-        write_escaped(object_[i].first, out);
-        out += ':';
-        object_[i].second.write(out);
-      }
-      out += '}';
-      return;
+    const std::size_t exponent = length - 1;
+    const char tail[] = {'e', '+', static_cast<char>('0' + exponent / 10),
+                         static_cast<char>('0' + exponent % 10)};
+    out_->append(tail, sizeof tail);
+  } else {
+    out_->append(digits, length);
+  }
+  emitted();
+  return *this;
+}
+
+Writer& Writer::string(std::string_view s) {
+  separate();
+  write_escaped(s, *out_);
+  emitted();
+  return *this;
+}
+
+Writer& Writer::value(const Value& v) {
+  switch (v.type_) {
+    case Value::Type::Null: return null();
+    case Value::Type::Bool: return boolean(v.bool_);
+    case Value::Type::Number: return number(v.number_);
+    case Value::Type::String: return string(v.string_);
+    case Value::Type::Array:
+      begin_array();
+      for (const Value& item : v.array_) value(item);
+      return end_array();
+    case Value::Type::Object:
+      begin_object();
+      for (const auto& [name, member] : v.object_) key(name).value(member);
+      return end_object();
+  }
+  return *this;
+}
+
+void Writer::flush() {
+  if (sink_ == nullptr || buffer_.empty()) return;
+  sink_->write(buffer_);
+  buffer_.clear();
+}
+
+// ----------------------------------------------------------------- Reader --
+
+void Reader::fail(const std::string& message) const {
+  std::size_t line = 1, column = 1;
+  for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
+    if (text_[i] == '\n') {
+      ++line;
+      column = 1;
+    } else {
+      ++column;
+    }
+  }
+  throw Error("JSON parse error at " + std::to_string(line) + ":" +
+              std::to_string(column) + ": " + message);
+}
+
+void Reader::skip_whitespace() {
+  while (!eof() && (current() == ' ' || current() == '\t' ||
+                    current() == '\n' || current() == '\r'))
+    ++pos_;
+}
+
+void Reader::expect(char c) {
+  if (eof() || current() != c)
+    fail(std::string("expected '") + c + "'" +
+         (eof() ? " but input ended" : ""));
+  ++pos_;
+}
+
+bool Reader::consume_literal(std::string_view literal) {
+  if (text_.substr(pos_, literal.size()) != literal) return false;
+  pos_ += literal.size();
+  return true;
+}
+
+Value::Type Reader::peek() {
+  if (after_key_) {
+    skip_whitespace();
+    expect(':');
+    after_key_ = false;
+  }
+  skip_whitespace();
+  if (eof()) fail("unexpected end of input");
+  return peek_unchecked();
+}
+
+Value::Type Reader::peek_unchecked() {
+  switch (current()) {
+    case 'n': return Value::Type::Null;
+    case 't':
+    case 'f': return Value::Type::Bool;
+    case '"': return Value::Type::String;
+    case '[': return Value::Type::Array;
+    case '{': return Value::Type::Object;
+    default: return Value::Type::Number;
+  }
+}
+
+void Reader::null() {
+  peek();
+  if (!consume_literal("null")) fail("bad literal");
+}
+
+bool Reader::boolean() {
+  peek();
+  if (current() == 't' && consume_literal("true")) return true;
+  if (current() == 'f' && consume_literal("false")) return false;
+  fail("bad literal");
+}
+
+double Reader::number() {
+  peek();
+  return read_number();
+}
+
+std::size_t Reader::index() {
+  const double n = number();
+  if (!is_index(n)) fail("number is not a non-negative integer index");
+  return static_cast<std::size_t>(n);
+}
+
+std::string_view Reader::string() {
+  peek();
+  return read_string();
+}
+
+double Reader::read_number() {
+  const auto digit = [this] {
+    return !eof() && current() >= '0' && current() <= '9';
+  };
+  // Enforce the JSON number grammar ('-'? int frac? exp?, no leading
+  // zeros) before handing the span to from_chars, which is laxer.
+  const std::size_t start = pos_;
+  if (!eof() && current() == '-') ++pos_;
+  if (!digit()) {
+    pos_ = start;
+    fail("malformed number");
+  }
+  if (current() == '0') {
+    ++pos_;
+    if (digit()) {
+      pos_ = start;
+      fail("number has a leading zero");
+    }
+  } else {
+    while (digit()) ++pos_;
+  }
+  bool fraction_or_exponent = false;
+  if (!eof() && current() == '.') {
+    fraction_or_exponent = true;
+    ++pos_;
+    if (!digit()) {
+      pos_ = start;
+      fail("malformed number");
+    }
+    while (digit()) ++pos_;
+  }
+  if (!eof() && (current() == 'e' || current() == 'E')) {
+    fraction_or_exponent = true;
+    ++pos_;
+    if (!eof() && (current() == '+' || current() == '-')) ++pos_;
+    if (!digit()) {
+      pos_ = start;
+      fail("malformed number");
+    }
+    while (digit()) ++pos_;
+  }
+  const char* begin = text_.data() + start;
+  const char* end = text_.data() + pos_;
+  // A plain integer of at most 15 digits is below 2^53, so the double
+  // from_chars would round it to is the integer itself.
+  if (!fraction_or_exponent) {
+    const bool negative = *begin == '-';
+    const char* digits = begin + (negative ? 1 : 0);
+    if (end - digits <= 15) {
+      std::uint64_t integer = 0;
+      for (const char* c = digits; c != end; ++c)
+        integer = integer * 10 + static_cast<std::uint64_t>(*c - '0');
+      const auto magnitude = static_cast<double>(integer);
+      return negative ? -magnitude : magnitude;
+    }
+  }
+  double value = 0.0;
+  const auto result = std::from_chars(begin, end, value);
+  if (result.ec != std::errc() || result.ptr != end) {
+    pos_ = start;
+    fail("malformed number");
+  }
+  return value;
+}
+
+std::string_view Reader::read_string() {
+  expect('"');
+  // Fast path: a string without escapes is a view into the input.
+  const std::size_t start = pos_;
+  while (!eof()) {
+    const auto c = static_cast<unsigned char>(current());
+    if (c == '"') {
+      const std::string_view out = text_.substr(start, pos_ - start);
+      ++pos_;
+      return out;
+    }
+    if (c == '\\' || c < 0x20) break;
+    ++pos_;
+  }
+  scratch_.assign(text_.data() + start, pos_ - start);
+  while (true) {
+    if (eof()) fail("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return scratch_;
+    if (static_cast<unsigned char>(c) < 0x20)
+      fail("raw control character in string");
+    if (c != '\\') {
+      scratch_ += c;
+      continue;
+    }
+    if (eof()) fail("unterminated escape");
+    const char escape = text_[pos_++];
+    switch (escape) {
+      case '"': scratch_ += '"'; break;
+      case '\\': scratch_ += '\\'; break;
+      case '/': scratch_ += '/'; break;
+      case 'b': scratch_ += '\b'; break;
+      case 'f': scratch_ += '\f'; break;
+      case 'n': scratch_ += '\n'; break;
+      case 'r': scratch_ += '\r'; break;
+      case 't': scratch_ += '\t'; break;
+      case 'u': append_unicode_escape(); break;
+      default: fail("unknown escape sequence");
     }
   }
 }
 
-std::string Value::dump() const {
-  std::string out;
-  write(out);
+unsigned Reader::parse_hex4() {
+  if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+  unsigned code = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char c = text_[pos_++];
+    code <<= 4;
+    if (c >= '0' && c <= '9') code |= static_cast<unsigned>(c - '0');
+    else if (c >= 'a' && c <= 'f') code |= static_cast<unsigned>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F') code |= static_cast<unsigned>(c - 'A' + 10);
+    else fail("bad hex digit in \\u escape");
+  }
+  return code;
+}
+
+void Reader::append_unicode_escape() {
+  std::uint32_t code = parse_hex4();
+  if (code >= 0xD800 && code <= 0xDBFF) {  // high surrogate
+    if (!consume_literal("\\u")) fail("unpaired surrogate");
+    const std::uint32_t low = parse_hex4();
+    if (low < 0xDC00 || low > 0xDFFF) fail("bad low surrogate");
+    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+  } else if (code >= 0xDC00 && code <= 0xDFFF) {
+    fail("unpaired surrogate");
+  }
+  // UTF-8 encode.
+  std::string& out = scratch_;
+  if (code < 0x80) {
+    out += static_cast<char>(code);
+  } else if (code < 0x800) {
+    out += static_cast<char>(0xC0 | (code >> 6));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  } else if (code < 0x10000) {
+    out += static_cast<char>(0xE0 | (code >> 12));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (code >> 18));
+    out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (code & 0x3F));
+  }
+}
+
+void Reader::enter() {
+  // Checked at the opening bracket, before it is consumed.
+  if (++depth_ > kMaxDepth) fail("nesting too deep");
+  ++pos_;
+  fresh_ = true;
+}
+
+void Reader::begin_array() {
+  if (peek() != Value::Type::Array) expect('[');
+  enter();
+}
+
+bool Reader::next_item() {
+  skip_whitespace();
+  if (fresh_) {
+    fresh_ = false;
+    if (eof() || current() != ']') return true;
+    ++pos_;
+  } else {
+    if (eof()) fail("unterminated array");
+    if (current() == ',') {
+      ++pos_;
+      return true;
+    }
+    expect(']');
+  }
+  --depth_;
+  return false;
+}
+
+void Reader::begin_object() {
+  if (peek() != Value::Type::Object) expect('{');
+  enter();
+}
+
+bool Reader::next_key(std::string_view& key) {
+  skip_whitespace();
+  if (fresh_) {
+    fresh_ = false;
+    if (!eof() && current() == '}') {
+      ++pos_;
+      --depth_;
+      return false;
+    }
+  } else {
+    if (eof()) fail("unterminated object");
+    if (current() != ',') {
+      expect('}');
+      --depth_;
+      return false;
+    }
+    ++pos_;
+    skip_whitespace();
+  }
+  if (eof() || current() != '"') fail("expected object key string");
+  key = read_string();
+  after_key_ = true;
+  return true;
+}
+
+Value Reader::value() {
+  switch (peek()) {
+    case Value::Type::Null:
+      if (!consume_literal("null")) fail("bad literal");
+      return Value();
+    case Value::Type::Bool: return Value(boolean());
+    case Value::Type::Number: return Value(read_number());
+    case Value::Type::String: return Value(std::string(read_string()));
+    case Value::Type::Array: return read_array();
+    case Value::Type::Object: return read_object();
+  }
+  return Value();
+}
+
+Value Reader::read_array() {
+  Value out;
+  out.type_ = Value::Type::Array;
+  enter();
+  while (next_item()) out.array_.push_back(value());
   return out;
 }
 
-Value parse(std::string_view text) { return Parser(text).run(); }
+Value Reader::read_object() {
+  Value out;
+  out.type_ = Value::Type::Object;
+  enter();
+  std::string_view key;
+  while (next_key(key)) {
+    if (out.find(key) != nullptr)
+      fail("duplicate object key '" + std::string(key) + "'");
+    std::string name(key);  // the member's value may reuse scratch_
+    Value member = value();
+    out.object_.emplace_back(std::move(name), std::move(member));
+  }
+  return out;
+}
+
+void Reader::end() {
+  skip_whitespace();
+  if (pos_ != text_.size()) fail("trailing input after JSON document");
+}
+
+Value parse(std::string_view text) {
+  Reader reader(text);
+  Value value = reader.value();
+  reader.end();
+  return value;
+}
 
 std::string quote(std::string_view s) {
   std::string out;

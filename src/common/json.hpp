@@ -1,10 +1,11 @@
 #pragma once
 /// \file json.hpp
-/// \brief Dependency-free JSON value type, parser and writer.
+/// \brief Dependency-free JSON kernel: one pull reader, one streaming
+/// writer, and the json::Value DOM built on top of them.
 ///
 /// The planning front door speaks JSON-lines (io/wire.hpp, `adept serve`),
-/// and the plan cache fingerprints requests by their canonical wire form —
-/// both need a small, exact JSON kernel rather than a third-party library:
+/// and the plan cache keys requests by their canonical wire form — both
+/// need a small, exact JSON kernel rather than a third-party library:
 ///
 ///   - Numbers are written with the shortest representation that parses
 ///     back to the identical double (std::to_chars), so
@@ -14,9 +15,16 @@
 ///     domain value that needs them (unlimited demand) symbolically.
 ///   - Objects preserve insertion order, so a serializer that always
 ///     emits keys in one order produces one canonical byte string.
-///   - The parser is strict (complete-input, no trailing garbage) and
-///     reports 1-based line/column on malformed input, matching the
-///     platform-file parser's error style.
+///   - The reader is strict (complete-input, no trailing garbage,
+///     duplicate keys rejected by every consumer) and reports 1-based
+///     line/column on malformed input, matching the platform-file
+///     parser's error style.
+///
+/// Grammar, nesting cap, error text, number format and escape format
+/// each exist exactly once: json::parse builds its DOM through Reader,
+/// and Value::dump writes through Writer. The hot wire codecs
+/// (io/wire.hpp) drive Reader and Writer directly, so a request is
+/// decoded and an answer or cache key encoded without a DOM.
 
 #include <cstddef>
 #include <initializer_list>
@@ -94,7 +102,8 @@ class Value {
   std::string dump() const;
 
  private:
-  void write(std::string& out) const;
+  friend class Reader;
+  friend class Writer;
 
   Type type_ = Type::Null;
   bool bool_ = false;
@@ -102,6 +111,137 @@ class Value {
   std::string string_;
   Array array_;
   Object object_;
+};
+
+/// Receives a streaming Writer's bytes, in order, in chunks.
+class ByteSink {
+ public:
+  /// Consumes the next chunk of output.
+  virtual void write(std::string_view bytes) = 0;
+
+ protected:
+  ~ByteSink() = default;
+};
+
+/// Streaming canonical writer: the one place JSON text is formatted.
+/// Calls mirror the document's structure — begin/end for containers,
+/// key() before each object member's value — and commas are inserted
+/// automatically. Output is compact, numbers are shortest round-trip,
+/// strings escape '"', '\\', \b \f \n \r \t and every other control byte
+/// as lower-case \u00xx; all other bytes (UTF-8 included) pass through.
+///
+/// A Writer either appends to a caller's string, or buffers and hands
+/// chunks to a ByteSink (flush() delivers the tail) — which is how a
+/// cache key hashes a canonical document without materialising it.
+class Writer {
+ public:
+  /// Appends to `out`.
+  explicit Writer(std::string& out) : out_(&out) {}
+  /// Streams into `sink`; call flush() after the last value.
+  explicit Writer(ByteSink& sink);
+
+  Writer(const Writer&) = delete;             ///< Non-copyable.
+  Writer& operator=(const Writer&) = delete;  ///< Non-copyable.
+
+  Writer& begin_object();  ///< Opens an object.
+  Writer& end_object();    ///< Closes the innermost object.
+  Writer& begin_array();   ///< Opens an array.
+  Writer& end_array();     ///< Closes the innermost array.
+  /// Writes an object member's key; the member's value is written next.
+  Writer& key(std::string_view name);
+
+  Writer& null();                       ///< Writes null.
+  Writer& boolean(bool b);              ///< Writes true or false.
+  /// Writes a finite number; throws adept::Error on NaN or infinity.
+  Writer& number(double n);
+  /// Writes a count or index exactly as number(double(n)) — and so as
+  /// Value(std::size_t) — does: 900000 is written 9e+05. Below 2^53 it
+  /// takes an integer fast path to the same bytes.
+  Writer& index(std::size_t n);
+  Writer& string(std::string_view s);   ///< Writes an escaped string.
+  Writer& value(const Value& v);        ///< Writes a whole DOM value.
+
+  /// Streaming mode: hands every buffered byte to the sink. A no-op when
+  /// writing to a string.
+  void flush();
+
+ private:
+  void separate();  ///< Emits the comma owed before the next item.
+  void emitted();   ///< Marks an item complete; spills full chunks.
+
+  std::string* out_;
+  std::string buffer_;  ///< Streaming mode's chunk buffer.
+  ByteSink* sink_ = nullptr;
+  bool need_comma_ = false;
+};
+
+/// Strict pull reader over one JSON document. Each read consumes one
+/// value of the named kind and throws adept::Error with a 1-based
+/// line:column otherwise. Containers are walked with begin_*() and then
+/// next_item() / next_key() until they return false:
+///
+///   reader.begin_object();
+///   std::string_view key;
+///   while (reader.next_key(key)) { ... read the member's value ... }
+///
+/// The reader checks the grammar; rejecting duplicate keys is the
+/// consumer's job (value() does it, like every wire decoder).
+class Reader {
+ public:
+  explicit Reader(std::string_view text) : text_(text) {}
+
+  /// Kind of the next value, without consuming it.
+  Value::Type peek();
+
+  void null();        ///< Reads null.
+  bool boolean();     ///< Reads true or false.
+  double number();    ///< Reads a number.
+  /// Reads a number that must be a non-negative integer (as_index rules).
+  std::size_t index();
+  /// Reads a string, unescaped. The view is valid until the next read.
+  std::string_view string();
+
+  void begin_array();  ///< Enters an array.
+  /// Advances to the array's next element; false (and leaves the array)
+  /// at its end.
+  bool next_item();
+  void begin_object();  ///< Enters an object.
+  /// Reads the object's next key (unescaped, valid until the next read);
+  /// false (and leaves the object) at its end.
+  bool next_key(std::string_view& key);
+
+  /// Reads the next value of any kind into a DOM; rejects duplicate keys.
+  Value value();
+  /// Reads and discards the next value, with value()'s checks.
+  void skip() { value(); }
+  /// Requires that only whitespace is left.
+  void end();
+
+  /// Throws adept::Error "JSON parse error at L:C: message" at the
+  /// current position.
+  [[noreturn]] void fail(const std::string& message) const;
+
+ private:
+  bool eof() const { return pos_ >= text_.size(); }
+  char current() const { return text_[pos_]; }
+  void skip_whitespace();
+  void expect(char c);
+  bool consume_literal(std::string_view literal);
+  Value::Type peek_unchecked();
+  double read_number();
+  std::string_view read_string();
+  void append_unicode_escape();
+  unsigned parse_hex4();
+  void enter();
+  Value read_array();
+  Value read_object();
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
+  bool after_key_ = false;  ///< A key was read; its ':' is still due.
+  bool fresh_ = false;      ///< A container was just entered.
+  std::string scratch_;     ///< Unescaped text of the last escaped string.
 };
 
 /// Parses exactly one JSON document (trailing whitespace allowed, other

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,9 +25,12 @@ namespace {
 
 /// Serializes one job as a serve request line, keyed by its job index.
 std::string encode(std::size_t id, const ShardJob& job) {
-  json::Value line = wire::to_json(job.request);
-  line.set("id", id);
-  line.set("planner", job.planner);
+  std::string line;
+  json::Writer out(line);
+  out.begin_object();
+  wire::write_members(out, job.request);
+  out.key("id").index(id);
+  out.key("planner").string(job.planner);
   // A deadline is an instant on this process's clock; workers get the
   // remaining budget instead (the serve convention, io/wire.hpp).
   if (job.request.options.deadline.has_value()) {
@@ -34,9 +38,18 @@ std::string encode(std::size_t id, const ShardJob& job) {
         std::chrono::duration<double, std::milli>(
             *job.request.options.deadline - std::chrono::steady_clock::now())
             .count();
-    line.set("budget_ms", std::max(remaining_ms, 0.001));
+    out.key("budget_ms").number(std::max(remaining_ms, 0.001));
   }
-  return line.dump();
+  out.end_object();
+  return line;
+}
+
+/// Reads one worker answer: straight from its bytes, or through the DOM
+/// when the fast decoder declines. Throws on a broken line.
+wire::RunAnswer decode(const std::string& line) {
+  if (std::optional<wire::RunAnswer> answer = wire::decode_run_answer(line))
+    return std::move(*answer);
+  return wire::run_answer_from_json(json::parse(line));
 }
 
 }  // namespace
@@ -202,15 +215,14 @@ void WorkerPool::drain(Slot& slot, const std::vector<ShardJob>& jobs,
       break;
     }
     try {
-      const json::Value doc = json::parse(line);
-      ADEPT_CHECK(doc.at("id").as_index() == id,
-                  "worker answered out of order");
-      if (doc.at("ok").as_bool()) {
+      wire::RunAnswer answer = decode(line);
+      ADEPT_CHECK(answer.id == id, "worker answered out of order");
+      if (answer.ok) {
         // Streamed straight off this drain thread: the caller's sink
         // sees the result while other workers are still planning. A
         // throw here (the sink rejecting a protocol-level-broken run)
         // lands in the catch below — worker failure, job re-dispatched.
-        on_result(id, wire::planner_run_from_json(doc.at("run")));
+        on_result(id, std::move(answer.run));
       } else {
         // The *job* failed remotely (planner error, budget); the worker
         // is fine. Re-plan locally so the error (or late success) is

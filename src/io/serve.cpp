@@ -11,6 +11,7 @@
 #include <istream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <streambuf>
 #include <string>
@@ -135,6 +136,13 @@ class Session {
   std::size_t answered() const { return answered_count_; }
 
   void handle_line(const std::string& line) {
+    // A well-formed plan request decodes straight from its bytes. Control
+    // lines and every line the fast decoder declines take the DOM path,
+    // whose errors and id echo are the session's wire contract.
+    if (std::optional<wire::PlanLine> decoded = wire::decode_plan_line(line)) {
+      submit(std::move(decoded->id), [&decoded] { return std::move(*decoded); });
+      return;
+    }
     json::Value request;
     try {
       request = json::parse(line);
@@ -151,7 +159,9 @@ class Session {
       }
       return;
     }
-    submit(request);
+    const json::Value* id = request.find("id");
+    submit(id != nullptr ? *id : json::Value(),
+           [&request] { return wire::plan_line_from_json(request); });
   }
 
   bool quitting() const { return quitting_; }
@@ -233,9 +243,12 @@ class Session {
     queue_error(json::Value(nullptr), "unknown command '" + name + "'");
   }
 
-  void submit(const json::Value& request) {
+  /// Admits one plan request: `decode` yields the decoded line, or
+  /// throws the error its answer carries.
+  template <typename Decode>
+  void submit(json::Value id, Decode&& decode) {
     Pending pending;
-    if (const json::Value* id = request.find("id")) pending.id = *id;
+    pending.id = std::move(id);
     std::size_t depth = 0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -259,22 +272,16 @@ class Session {
         enqueue(std::move(pending));
         return;
       }
-      // The wire deserializer gives the request an *owning* platform, so
-      // the in-flight job can never outlive it.
-      PlanRequest plan_request = wire::request_from_json(request);
-      if (const json::Value* budget = request.find("budget_ms")) {
-        const double ms = budget->as_number();
-        // Upper bound (~1000 days) keeps the microsecond cast and the
-        // time_point addition comfortably inside their ranges.
-        ADEPT_CHECK(ms > 0.0 && ms <= 8.64e10,
-                    "budget_ms must be in (0, 8.64e10]");
+      // The wire decoders give the request an *owning* platform, so the
+      // in-flight job can never outlive it.
+      wire::PlanLine line = decode();
+      PlanRequest& plan_request = line.request;
+      if (line.budget_ms.has_value())
         plan_request.options.deadline =
             std::chrono::steady_clock::now() +
-            std::chrono::microseconds(static_cast<long long>(ms * 1000.0));
-      }
-      std::string planner = "heuristic";
-      if (const json::Value* name = request.find("planner"))
-        planner = name->as_string();
+            std::chrono::microseconds(
+                static_cast<long long>(*line.budget_ms * 1000.0));
+      const std::string& planner = line.planner;
       if (full) {
         // Degrade-on-overload: answer right here on the reader thread
         // with the cheap planner — the synchronous run throttles an
@@ -398,32 +405,32 @@ class Session {
       write(response);
       return;
     }
-    response.set("id", front.id);
+    // Answers to requests are written straight to bytes: the envelope
+    // {"id", "ok", ["status"], ["degraded"], ["error" iff !ok], payload}.
+    line_.clear();
+    json::Writer out(line_);
+    out.begin_object();
+    out.key("id").value(front.id);
     if (front.overloaded) {
-      response.set("ok", false);
-      response.set("status", "overloaded");
-      response.set("error", front.immediate_error);
-      response.set("retry_after_ms", front.retry_after_ms);
-      write(response);
-      return;
-    }
-    if (!front.immediate_error.empty()) {
-      response.set("ok", false);
-      response.set("error", front.immediate_error);
-      write(response);
-      return;
-    }
-    if (front.degraded) {
-      set_run(response, front.degraded_run, /*degraded=*/true);
+      out.key("ok").boolean(false);
+      out.key("status").string("overloaded");
+      out.key("error").string(front.immediate_error);
+      out.key("retry_after_ms").number(front.retry_after_ms);
+    } else if (!front.immediate_error.empty()) {
+      out.key("ok").boolean(false);
+      out.key("error").string(front.immediate_error);
+    } else if (front.degraded) {
+      write_run(out, front.degraded_run, /*degraded=*/true);
     } else if (front.is_portfolio) {
       const PortfolioResult& portfolio = front.portfolio.wait();
       const bool ok = portfolio.has_winner();
-      response.set("ok", ok);
+      out.key("ok").boolean(ok);
       if (!ok)
-        response.set("error", portfolio.runs.empty()
-                                  ? "portfolio produced no runs"
-                                  : portfolio.runs.front().error);
-      response.set("portfolio", wire::to_json(portfolio));
+        out.key("error").string(portfolio.runs.empty()
+                                    ? "portfolio produced no runs"
+                                    : portfolio.runs.front().error);
+      out.key("portfolio");
+      wire::write(out, portfolio);
     } else {
       const PlannerRun& run = front.plan.wait();
       if (config_.degrade && front.request != nullptr && !run.ok &&
@@ -433,13 +440,15 @@ class Session {
         // instead of surfacing the deadline error. (Cancelled jobs stay
         // skipped — the client asked for that.)
         const PlannerRun rescue = run_degraded(*front.request);
-        set_run(response, rescue, /*degraded=*/true);
+        write_run(out, rescue, /*degraded=*/true);
         c_degraded_.inc();
       } else {
-        set_run(response, run, /*degraded=*/false);
+        write_run(out, run, /*degraded=*/false);
       }
     }
-    write(response);
+    out.end_object();
+    write_line();
+    if (front.overloaded || !front.immediate_error.empty()) return;
     if (front.counts) {
       ++answered_count_;
       c_answered_.inc();
@@ -457,12 +466,13 @@ class Session {
     }
   }
 
-  static void set_run(json::Value& response, const PlannerRun& run,
-                      bool degraded) {
-    response.set("ok", run.ok);
-    if (degraded) response.set("degraded", true);
-    if (!run.ok) response.set("error", run.error);
-    response.set("run", wire::to_json(run));
+  static void write_run(json::Writer& out, const PlannerRun& run,
+                        bool degraded) {
+    out.key("ok").boolean(run.ok);
+    if (degraded) out.key("degraded").boolean(true);
+    if (!run.ok) out.key("error").string(run.error);
+    out.key("run");
+    wire::write(out, run);
   }
 
   /// The worker-side shard-level sub-plan cache: occupancy plus lifetime
@@ -502,12 +512,23 @@ class Session {
     return out;
   }
 
+  /// Control answers (stats, metrics, cancel) are cold: built as a DOM.
   void write(const json::Value& response) {
-    out_ << response.dump() << '\n';
+    line_.clear();
+    json::Writer(line_).value(response);
+    write_line();
+  }
+
+  /// Writes line_ and its newline in one call: on a TCP_NODELAY socket
+  /// that is one syscall, and one segment, per answer.
+  void write_line() {
+    line_ += '\n';
+    out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
     out_.flush();
   }
 
   std::ostream& out_;
+  std::string line_;  ///< The answer being written (writer thread only).
   ServeConfig config_;
   /// Stdio mode owns its service here; listener mode leaves it null and
   /// service_ refers to the process-shared one.
@@ -553,9 +574,10 @@ std::size_t run_session(std::istream& in, Session& session) {
 /// An unbuffered, EINTR-safe std::streambuf over a connected socket fd.
 /// Reads block until data or EOF (a session waiting for its next request
 /// line simply sleeps in read()); writes push whole lines — the Session
-/// writes one dump()ed response then '\n', so a response costs two
-/// syscalls on a TCP_NODELAY socket. Write failures (client gone) set
-/// the stream's error state; the session then drains without a reader.
+/// hands over each answer and its '\n' in one xsputn, so a response
+/// costs one syscall on a TCP_NODELAY socket. Write failures (client
+/// gone) set the stream's error state; the session then drains without
+/// a reader.
 class FdStreamBuf final : public std::streambuf {
  public:
   explicit FdStreamBuf(int fd) : fd_(fd) { setg(in_, in_, in_); }

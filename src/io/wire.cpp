@@ -1,9 +1,12 @@
 #include "io/wire.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/siphash.hpp"
 #include "common/strings.hpp"
 
 namespace adept::wire {
@@ -57,11 +60,26 @@ const char* bottleneck_tag(model::Bottleneck bottleneck) {
   return "?";
 }
 
-model::Bottleneck bottleneck_from_tag(const std::string& tag) {
+model::Bottleneck bottleneck_from_tag(std::string_view tag) {
   if (tag == "agent-scheduling") return model::Bottleneck::AgentScheduling;
   if (tag == "server-prediction") return model::Bottleneck::ServerPrediction;
   if (tag == "service") return model::Bottleneck::Service;
-  throw Error("unknown bottleneck '" + tag + "'");
+  throw Error("unknown bottleneck '" + std::string(tag) + "'");
+}
+
+/// The bare-number service shorthand: MFlop per request.
+ServiceSpec service_from_mflop(double mflop) {
+  ADEPT_CHECK(mflop > 0.0, "service MFlop must be positive");
+  return ServiceSpec{"custom", mflop};
+}
+
+/// The "dgemm-<n>" service shorthand.
+ServiceSpec service_from_name(const std::string& spec) {
+  ADEPT_CHECK(strings::starts_with(spec, "dgemm-"),
+              "service must be a wire object, a number, or \"dgemm-<n>\"");
+  const auto n = strings::parse_int(spec.substr(6));
+  ADEPT_CHECK(n.has_value() && *n > 0, "bad DGEMM size in '" + spec + "'");
+  return dgemm_service(static_cast<std::size_t>(*n));
 }
 
 }  // namespace
@@ -128,18 +146,8 @@ ServiceSpec service_from_json(const json::Value& value) {
   // Serialization always emits the object form; deserialization also
   // accepts the two client shorthands ("dgemm-<n>", bare MFlop number),
   // so every wire consumer — serve included — speaks one schema.
-  if (value.is_number()) {
-    ADEPT_CHECK(value.as_number() > 0.0, "service MFlop must be positive");
-    return ServiceSpec{"custom", value.as_number()};
-  }
-  if (value.is_string()) {
-    const std::string& spec = value.as_string();
-    ADEPT_CHECK(strings::starts_with(spec, "dgemm-"),
-                "service must be a wire object, a number, or \"dgemm-<n>\"");
-    const auto n = strings::parse_int(spec.substr(6));
-    ADEPT_CHECK(n.has_value() && *n > 0, "bad DGEMM size in '" + spec + "'");
-    return dgemm_service(static_cast<std::size_t>(*n));
-  }
+  if (value.is_number()) return service_from_mflop(value.as_number());
+  if (value.is_string()) return service_from_name(value.as_string());
   ServiceSpec out;
   out.name = value.at("name").as_string();
   out.wapp = value.at("wapp").as_number();
@@ -525,14 +533,640 @@ sim::ScenarioRecording recording_from_json(const json::Value& value) {
   return out;
 }
 
+// ------------------------------------------------------ streaming writers --
+
+namespace {
+
+void write_rate(json::Writer& out, RequestRate rate) {
+  if (std::isinf(rate) && rate > 0.0) {
+    out.string("unlimited");
+  } else {
+    out.number(rate);
+  }
+}
+
+void write(json::Writer& out, const ElementCosts& costs) {
+  out.begin_object();
+  out.key("wreq").number(costs.wreq);
+  out.key("wfix").number(costs.wfix);
+  out.key("wsel").number(costs.wsel);
+  out.key("wpre").number(costs.wpre);
+  out.key("sreq").number(costs.sreq);
+  out.key("srep").number(costs.srep);
+  out.end_object();
+}
+
+void write(json::Writer& out, const Platform& platform) {
+  out.begin_object();
+  out.key("bandwidth").number(platform.bandwidth());
+  out.key("nodes").begin_array();
+  for (const NodeSpec& node : platform.nodes()) {
+    out.begin_object();
+    out.key("name").string(node.name);
+    out.key("power").number(node.power);
+    if (node.link != 0.0) out.key("link").number(node.link);
+    out.end_object();
+  }
+  out.end_array();
+  out.end_object();
+}
+
+void write(json::Writer& out, const PlanOptions& options) {
+  out.begin_object();
+  out.key("demand");
+  write_rate(out, options.demand);
+  out.key("degree").index(options.degree);
+  out.key("shards").index(options.shards);
+  out.key("excluded").begin_array();
+  for (const NodeId id : options.excluded) out.index(id);
+  out.end_array();
+  out.key("verbose_trace").boolean(options.verbose_trace);
+  out.end_object();
+}
+
+void write(json::Writer& out, const Hierarchy& hierarchy) {
+  out.begin_object();
+  out.key("elements").begin_array();
+  for (Hierarchy::Index i = 0; i < hierarchy.size(); ++i) {
+    const Hierarchy::Element& element = hierarchy.element(i);
+    out.begin_object();
+    out.key("node").index(element.node);
+    out.key("role").string(element.role == Role::Agent ? "agent" : "server");
+    out.key("parent");
+    if (element.parent == Hierarchy::npos) {
+      out.null();
+    } else {
+      out.index(element.parent);
+    }
+    out.key("children").begin_array();
+    for (const Hierarchy::Index child : element.children) out.index(child);
+    out.end_array();
+    out.end_object();
+  }
+  out.end_array();
+  out.end_object();
+}
+
+void write(json::Writer& out, const model::ThroughputReport& report) {
+  out.begin_object();
+  out.key("sched").number(report.sched);
+  out.key("service").number(report.service);
+  out.key("overall").number(report.overall);
+  out.key("bottleneck").string(bottleneck_tag(report.bottleneck));
+  out.key("limiting_element").index(report.limiting_element);
+  out.key("server_shares").begin_array();
+  for (const double share : report.server_shares) out.number(share);
+  out.end_array();
+  out.end_object();
+}
+
+void write(json::Writer& out, const PlanResult& result) {
+  out.begin_object();
+  out.key("hierarchy");
+  write(out, result.hierarchy);
+  out.key("report");
+  write(out, result.report);
+  out.key("trace").begin_array();
+  for (const std::string& line : result.trace) out.string(line);
+  out.end_array();
+  out.end_object();
+}
+
+void write_fingerprint(json::Writer& out, const PlanRequest& request,
+                       std::string_view planner) {
+  out.begin_object();
+  out.key("planner").string(planner);
+  out.key("request");
+  wire::write(out, request);
+  out.end_object();
+}
+
+/// Feeds two SipHash streams, each under its own process key.
+class KeySink final : public json::ByteSink {
+ public:
+  void write(std::string_view bytes) override {
+    first_.update(bytes);
+    second_.update(bytes);
+  }
+
+  std::string digest() const {
+    const std::uint64_t halves[] = {first_.digest(), second_.digest()};
+    std::string key(16, '\0');
+    for (int i = 0; i < 8; ++i) {
+      key[i] = static_cast<char>(halves[0] >> (8 * i));
+      key[8 + i] = static_cast<char>(halves[1] >> (8 * i));
+    }
+    return key;
+  }
+
+ private:
+  SipHasher first_{process_sip_key(0)};
+  SipHasher second_{process_sip_key(1)};
+};
+
+}  // namespace
+
+void write_members(json::Writer& out, const PlanRequest& request) {
+  ADEPT_CHECK(request.platform != nullptr, "PlanRequest has no platform");
+  out.key("platform");
+  write(out, *request.platform);
+  out.key("params").begin_object();
+  out.key("agent");
+  write(out, request.params.agent);
+  out.key("server");
+  write(out, request.params.server);
+  out.end_object();
+  out.key("service").begin_object();
+  out.key("name").string(request.service.name);
+  out.key("wapp").number(request.service.wapp);
+  out.end_object();
+  out.key("options");
+  write(out, request.options);
+}
+
+void write(json::Writer& out, const PlanRequest& request) {
+  out.begin_object();
+  write_members(out, request);
+  out.end_object();
+}
+
+void write(json::Writer& out, const PlannerRun& run) {
+  out.begin_object();
+  out.key("planner").string(run.planner);
+  out.key("ok").boolean(run.ok);
+  out.key("skipped").boolean(run.skipped);
+  out.key("cached").boolean(run.cached);
+  out.key("error").string(run.error);
+  out.key("wall_ms").number(run.wall_ms);
+  out.key("evaluations").index(run.evaluations);
+  out.key("result");
+  if (run.ok) {
+    write(out, run.result);
+  } else {
+    out.null();
+  }
+  out.end_object();
+}
+
+void write(json::Writer& out, const PortfolioResult& portfolio) {
+  out.begin_object();
+  out.key("winner");
+  if (portfolio.has_winner()) {
+    out.index(portfolio.winner);
+  } else {
+    out.null();
+  }
+  out.key("runs").begin_array();
+  for (const PlannerRun& run : portfolio.runs) write(out, run);
+  out.end_array();
+  out.key("scores").begin_array();
+  for (const RequestRate score : portfolio.scores) write_rate(out, score);
+  out.end_array();
+  out.end_object();
+}
+
 // ------------------------------------------------------------- fingerprint --
 
 std::string request_fingerprint(const PlanRequest& request,
                                 const std::string& planner) {
-  json::Value key = json::Value::object();
-  key.set("planner", planner);
-  key.set("request", to_json(request));
-  return key.dump();
+  std::string text;
+  json::Writer out(text);
+  write_fingerprint(out, request, planner);
+  return text;
+}
+
+std::string request_key(const PlanRequest& request, std::string_view planner) {
+  KeySink sink;
+  json::Writer out(sink);
+  write_fingerprint(out, request, planner);
+  out.flush();
+  return sink.digest();
+}
+
+// ------------------------------------------------------ streaming readers --
+
+namespace {
+
+/// Rejects the document being fast-decoded; the caller's DOM path then
+/// settles it.
+[[noreturn]] void decline() { throw Error("declined by the fast decoder"); }
+
+void require(bool condition) {
+  if (!condition) decline();
+}
+
+/// One object's member names as a fast decoder meets them: names it
+/// knows by position, any other by value, so a repeated key is refused
+/// as json::parse refuses it — at every depth.
+class Members {
+ public:
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  explicit Members(std::span<const std::string_view> known) : known_(known) {}
+
+  /// Position of `key` among the known names, or npos for another name.
+  std::size_t mark(std::string_view key) {
+    for (std::size_t i = 0; i < known_.size(); ++i) {
+      if (known_[i] != key) continue;
+      require(!has(i));
+      seen_ |= std::uint32_t{1} << i;
+      return i;
+    }
+    for (const std::string& other : others_) require(other != key);
+    others_.emplace_back(key);
+    return npos;
+  }
+
+  bool has(std::size_t i) const { return (seen_ >> i) & 1u; }
+
+  /// Requires the first `count` known names to have been seen.
+  void require_first(std::size_t count) const {
+    const std::uint32_t mask = (std::uint32_t{1} << count) - 1;
+    require((seen_ & mask) == mask);
+  }
+
+ private:
+  std::span<const std::string_view> known_;
+  std::uint32_t seen_ = 0;
+  std::vector<std::string> others_;
+};
+
+RequestRate read_rate(json::Reader& in) {
+  if (in.peek() != json::Value::Type::String) return in.number();
+  require(in.string() == "unlimited");
+  return kUnlimitedDemand;
+}
+
+ElementCosts read_costs(json::Reader& in) {
+  static constexpr std::string_view kKeys[] = {"wreq", "wfix", "wsel",
+                                               "wpre", "sreq", "srep"};
+  ElementCosts out;
+  double* const slots[] = {&out.wreq, &out.wfix, &out.wsel,
+                           &out.wpre, &out.sreq, &out.srep};
+  Members members(kKeys);
+  in.begin_object();
+  std::string_view key;
+  while (in.next_key(key)) {
+    const std::size_t at = members.mark(key);
+    if (at == Members::npos) {
+      in.skip();
+    } else {
+      *slots[at] = in.number();
+    }
+  }
+  members.require_first(6);
+  return out;
+}
+
+MiddlewareParams read_params(json::Reader& in) {
+  static constexpr std::string_view kKeys[] = {"agent", "server"};
+  MiddlewareParams out;
+  Members members(kKeys);
+  in.begin_object();
+  std::string_view key;
+  while (in.next_key(key)) {
+    switch (members.mark(key)) {
+      case 0: out.agent = read_costs(in); break;
+      case 1: out.server = read_costs(in); break;
+      default: in.skip();
+    }
+  }
+  members.require_first(2);
+  out.validate();
+  return out;
+}
+
+ServiceSpec read_service(json::Reader& in) {
+  switch (in.peek()) {
+    case json::Value::Type::Number: return service_from_mflop(in.number());
+    case json::Value::Type::String:
+      return service_from_name(std::string(in.string()));
+    default: break;
+  }
+  static constexpr std::string_view kKeys[] = {"name", "wapp"};
+  ServiceSpec out;
+  Members members(kKeys);
+  in.begin_object();
+  std::string_view key;
+  while (in.next_key(key)) {
+    switch (members.mark(key)) {
+      case 0: out.name = in.string(); break;
+      case 1: out.wapp = in.number(); break;
+      default: in.skip();
+    }
+  }
+  members.require_first(2);
+  return out;
+}
+
+PlanOptions read_options(json::Reader& in) {
+  PlanOptions out;
+  // options_from_json reads members through find(), which a non-object
+  // answers with "absent": such a value means all defaults.
+  if (in.peek() != json::Value::Type::Object) {
+    in.skip();
+    return out;
+  }
+  static constexpr std::string_view kKeys[] = {"demand", "degree", "shards",
+                                               "excluded", "verbose_trace"};
+  Members members(kKeys);
+  in.begin_object();
+  std::string_view key;
+  while (in.next_key(key)) {
+    switch (members.mark(key)) {
+      case 0: out.demand = read_rate(in); break;
+      case 1: out.degree = in.index(); break;
+      case 2: out.shards = in.index(); break;
+      case 3:
+        in.begin_array();
+        while (in.next_item()) out.excluded.insert(in.index());
+        break;
+      case 4: out.verbose_trace = in.boolean(); break;
+      default: in.skip();
+    }
+  }
+  return out;
+}
+
+NodeSpec read_node(json::Reader& in) {
+  static constexpr std::string_view kKeys[] = {"name", "power", "link"};
+  NodeSpec out;
+  Members members(kKeys);
+  in.begin_object();
+  std::string_view key;
+  while (in.next_key(key)) {
+    switch (members.mark(key)) {
+      case 0: out.name = in.string(); break;
+      case 1: out.power = in.number(); break;
+      case 2: out.link = in.number(); break;
+      default: in.skip();
+    }
+  }
+  members.require_first(2);
+  return out;
+}
+
+Platform read_platform(json::Reader& in) {
+  static constexpr std::string_view kKeys[] = {"bandwidth", "nodes"};
+  double bandwidth = 0.0;
+  std::vector<NodeSpec> nodes;
+  Members members(kKeys);
+  in.begin_object();
+  std::string_view key;
+  while (in.next_key(key)) {
+    switch (members.mark(key)) {
+      case 0: bandwidth = in.number(); break;
+      case 1:
+        in.begin_array();
+        while (in.next_item()) nodes.push_back(read_node(in));
+        break;
+      default: in.skip();
+    }
+  }
+  members.require_first(2);
+  return Platform(std::move(nodes), bandwidth);
+}
+
+Hierarchy::Element read_element(json::Reader& in) {
+  static constexpr std::string_view kKeys[] = {"node", "role", "parent",
+                                               "children"};
+  Hierarchy::Element out;
+  Members members(kKeys);
+  in.begin_object();
+  std::string_view key;
+  while (in.next_key(key)) {
+    switch (members.mark(key)) {
+      case 0: out.node = in.index(); break;
+      case 1: {
+        const std::string_view role = in.string();
+        require(role == "agent" || role == "server");
+        out.role = role == "agent" ? Role::Agent : Role::Server;
+        break;
+      }
+      case 2:
+        if (in.peek() == json::Value::Type::Null) {
+          in.null();
+          out.parent = Hierarchy::npos;
+        } else {
+          out.parent = in.index();
+        }
+        break;
+      case 3:
+        in.begin_array();
+        while (in.next_item()) out.children.push_back(in.index());
+        break;
+      default: in.skip();
+    }
+  }
+  members.require_first(4);
+  return out;
+}
+
+Hierarchy read_hierarchy(json::Reader& in) {
+  static constexpr std::string_view kKeys[] = {"elements"};
+  std::vector<Hierarchy::Element> elements;
+  Members members(kKeys);
+  in.begin_object();
+  std::string_view key;
+  while (in.next_key(key)) {
+    if (members.mark(key) == Members::npos) {
+      in.skip();
+      continue;
+    }
+    in.begin_array();
+    while (in.next_item()) elements.push_back(read_element(in));
+  }
+  members.require_first(1);
+  return Hierarchy::from_elements(std::move(elements));
+}
+
+model::ThroughputReport read_report(json::Reader& in) {
+  static constexpr std::string_view kKeys[] = {
+      "sched", "service", "overall", "bottleneck", "limiting_element",
+      "server_shares"};
+  model::ThroughputReport out;
+  Members members(kKeys);
+  in.begin_object();
+  std::string_view key;
+  while (in.next_key(key)) {
+    switch (members.mark(key)) {
+      case 0: out.sched = in.number(); break;
+      case 1: out.service = in.number(); break;
+      case 2: out.overall = in.number(); break;
+      case 3: out.bottleneck = bottleneck_from_tag(in.string()); break;
+      case 4: out.limiting_element = in.index(); break;
+      case 5:
+        in.begin_array();
+        while (in.next_item()) out.server_shares.push_back(in.number());
+        break;
+      default: in.skip();
+    }
+  }
+  members.require_first(6);
+  return out;
+}
+
+PlanResult read_result(json::Reader& in) {
+  static constexpr std::string_view kKeys[] = {"hierarchy", "report",
+                                               "trace"};
+  PlanResult out;
+  Members members(kKeys);
+  in.begin_object();
+  std::string_view key;
+  while (in.next_key(key)) {
+    switch (members.mark(key)) {
+      case 0: out.hierarchy = read_hierarchy(in); break;
+      case 1: out.report = read_report(in); break;
+      case 2:
+        in.begin_array();
+        while (in.next_item()) out.trace.emplace_back(in.string());
+        break;
+      default: in.skip();
+    }
+  }
+  members.require_first(3);
+  return out;
+}
+
+PlannerRun read_run(json::Reader& in) {
+  static constexpr std::string_view kKeys[] = {
+      "planner", "ok",      "skipped",     "cached",
+      "error",   "wall_ms", "evaluations", "result"};
+  PlannerRun out;
+  Members members(kKeys);
+  in.begin_object();
+  std::string_view key;
+  while (in.next_key(key)) {
+    switch (members.mark(key)) {
+      case 0: out.planner = in.string(); break;
+      case 1: out.ok = in.boolean(); break;
+      case 2: out.skipped = in.boolean(); break;
+      case 3: out.cached = in.boolean(); break;
+      case 4: out.error = in.string(); break;
+      case 5: out.wall_ms = in.number(); break;
+      case 6: out.evaluations = in.index(); break;
+      case 7:
+        // planner_run_from_json reads the result only of an ok run.
+        if (members.has(1) && !out.ok) {
+          in.skip();
+        } else {
+          out.result = read_result(in);
+        }
+        break;
+      default: in.skip();
+    }
+  }
+  members.require_first(7);
+  if (out.ok) {
+    require(members.has(7));
+  } else {
+    out.result = PlanResult{};
+  }
+  return out;
+}
+
+/// budget_ms's domain: positive, and at most ~1000 days so the
+/// microsecond cast and the time_point addition stay in range.
+bool budget_in_range(double ms) { return ms > 0.0 && ms <= 8.64e10; }
+
+}  // namespace
+
+PlanLine plan_line_from_json(const json::Value& line) {
+  PlanLine out;
+  out.request = request_from_json(line);
+  if (const json::Value* budget = line.find("budget_ms")) {
+    const double ms = budget->as_number();
+    ADEPT_CHECK(budget_in_range(ms), "budget_ms must be in (0, 8.64e10]");
+    out.budget_ms = ms;
+  }
+  if (const json::Value* name = line.find("planner"))
+    out.planner = name->as_string();
+  if (const json::Value* id = line.find("id")) out.id = *id;
+  return out;
+}
+
+std::optional<PlanLine> decode_plan_line(std::string_view line) {
+  static constexpr std::string_view kKeys[] = {
+      "platform", "service", "params",    "options",
+      "id",       "planner", "budget_ms", "cmd"};
+  try {
+    json::Reader in(line);
+    PlanLine out;
+    std::optional<Platform> platform;
+    ServiceSpec service;
+    MiddlewareParams params = MiddlewareParams::diet_grid5000();
+    PlanOptions options;
+    Members members(kKeys);
+    in.begin_object();
+    std::string_view key;
+    while (in.next_key(key)) {
+      switch (members.mark(key)) {
+        case 0: platform.emplace(read_platform(in)); break;
+        case 1: service = read_service(in); break;
+        case 2: params = read_params(in); break;
+        case 3: options = read_options(in); break;
+        case 4: out.id = in.value(); break;
+        case 5: out.planner = in.string(); break;
+        case 6:
+          out.budget_ms = in.number();
+          require(budget_in_range(*out.budget_ms));
+          break;
+        case 7: decline();  // a control line
+        default: in.skip();
+      }
+    }
+    in.end();
+    members.require_first(2);
+    out.request = PlanRequest(
+        std::make_shared<const Platform>(std::move(*platform)),
+        std::move(params), std::move(service), std::move(options));
+    return out;
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+RunAnswer run_answer_from_json(const json::Value& line) {
+  RunAnswer out;
+  out.id = line.at("id").as_index();
+  out.ok = line.at("ok").as_bool();
+  if (out.ok) out.run = planner_run_from_json(line.at("run"));
+  return out;
+}
+
+std::optional<RunAnswer> decode_run_answer(std::string_view line) {
+  static constexpr std::string_view kKeys[] = {"id", "ok", "run"};
+  try {
+    json::Reader in(line);
+    RunAnswer out;
+    Members members(kKeys);
+    in.begin_object();
+    std::string_view key;
+    while (in.next_key(key)) {
+      switch (members.mark(key)) {
+        case 0: out.id = in.index(); break;
+        case 1: out.ok = in.boolean(); break;
+        case 2:
+          if (members.has(1) && !out.ok) {
+            in.skip();
+          } else {
+            out.run = read_run(in);
+          }
+          break;
+        default: in.skip();
+      }
+    }
+    in.end();
+    members.require_first(2);
+    if (out.ok) {
+      require(members.has(2));
+    } else {
+      out.run = PlannerRun{};
+    }
+    return out;
+  } catch (const Error&) {
+    return std::nullopt;
+  }
 }
 
 }  // namespace adept::wire

@@ -22,8 +22,21 @@
 ///   - deserializers validate through the domain constructors (Platform's
 ///     positivity checks, Hierarchy::from_elements' linkage checks), so a
 ///     hostile document cannot materialise an invalid value.
+///
+/// Two codec families share that format. The json::Value family
+/// (to_json / *_from_json) serves the cold paths — stats, metrics,
+/// scenarios, recordings, CLI output — and is the reference the tests
+/// pin the other against. The streaming family serves the per-request
+/// paths without a DOM: write() emits exactly to_json(x).dump()'s bytes
+/// through a json::Writer, decode_plan_line() / decode_run_answer() read
+/// straight from a line's bytes and accept exactly what their DOM twins
+/// accept, and request_key() hashes the fingerprint's bytes as they are
+/// written.
 
+#include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
@@ -107,5 +120,57 @@ sim::ScenarioRecording recording_from_json(const json::Value& value);
 /// planner on a content-identical platform.
 std::string request_fingerprint(const PlanRequest& request,
                                 const std::string& planner);
+
+/// The 16-byte cache key of request_fingerprint(request, planner): two
+/// SipHash-2-4 streams under per-process random keys
+/// (common/siphash.hpp), fed the fingerprint's bytes as the writer
+/// produces them — no DOM and no fingerprint string is built. Keys are
+/// equal when fingerprints are, and a client cannot aim a collision
+/// without the process's keys. They never leave the process.
+std::string request_key(const PlanRequest& request, std::string_view planner);
+
+// ------------------------------------------------------ streaming codecs --
+
+/// Writes to_json(request).dump()'s bytes.
+void write(json::Writer& out, const PlanRequest& request);
+/// Writes the request's members (platform, params, service, options)
+/// into an object the caller has opened — a shard line appends its own.
+void write_members(json::Writer& out, const PlanRequest& request);
+/// Writes to_json(run).dump()'s bytes.
+void write(json::Writer& out, const PlannerRun& run);
+/// Writes to_json(portfolio).dump()'s bytes.
+void write(json::Writer& out, const PortfolioResult& portfolio);
+
+/// A serve plan-request line (io/serve.hpp), decoded.
+struct PlanLine {
+  json::Value id;                     ///< Echoed back; null when absent.
+  std::string planner = "heuristic";  ///< Registry name to plan with.
+  std::optional<double> budget_ms;    ///< Relative deadline, in range.
+  PlanRequest request;                ///< Owns its platform.
+};
+
+/// DOM decoder of a plan-request line: request_from_json, then the
+/// budget (in (0, 8.64e10] ms) and the planner name. Throws the serve
+/// session's error text for the line.
+PlanLine plan_line_from_json(const json::Value& line);
+/// Decodes a plan-request line straight from its bytes. Accepts exactly
+/// the lines plan_line_from_json(json::parse(line)) accepts, with an
+/// equal result, except control lines (a "cmd" member); nullopt for
+/// every other line, whose error the DOM path then reports.
+std::optional<PlanLine> decode_plan_line(std::string_view line);
+
+/// A serve answer to a plan request, as a coordinator reads it.
+struct RunAnswer {
+  std::size_t id = 0;  ///< The request's id (shard lines use indices).
+  bool ok = false;     ///< The envelope's verdict.
+  PlannerRun run;      ///< The answer's run; read only when ok.
+};
+
+/// DOM decoder of an answer line: {"id": index, "ok": bool, "run": ...}.
+RunAnswer run_answer_from_json(const json::Value& line);
+/// Decodes an answer line straight from its bytes; nullopt where it
+/// declines, which the DOM decoder then settles (run_answer_from_json
+/// accepts every line this does, with an equal result).
+std::optional<RunAnswer> decode_run_answer(std::string_view line);
 
 }  // namespace adept::wire

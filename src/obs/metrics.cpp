@@ -57,7 +57,6 @@ void Histogram::record(double value) {
   if (!enabled_) return;
   Shard& shard = local_shard();
   shard.buckets[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
   detail::atomic_add(shard.sum, value);
   detail::atomic_min(min_, value);
   detail::atomic_max(max_, value);
@@ -67,13 +66,16 @@ HistogramSnapshot Histogram::snapshot() const {
   HistogramSnapshot out;
   std::array<std::uint64_t, kBucketCount> merged{};
   for (const Shard& shard : shards_) {
-    out.count += shard.count.load(std::memory_order_relaxed);
     out.sum += shard.sum.load(std::memory_order_relaxed);
     for (std::uint32_t i = 0; i < kBucketCount; ++i)
       merged[i] += shard.buckets[i].load(std::memory_order_relaxed);
   }
-  for (std::uint32_t i = 0; i < kBucketCount; ++i)
-    if (merged[i] != 0) out.buckets.emplace_back(i, merged[i]);
+  // The count is the bucket total, so it always matches the buckets.
+  for (std::uint32_t i = 0; i < kBucketCount; ++i) {
+    if (merged[i] == 0) continue;
+    out.buckets.emplace_back(i, merged[i]);
+    out.count += merged[i];
+  }
   if (out.count != 0) {
     out.min = min_.load(std::memory_order_relaxed);
     out.max = max_.load(std::memory_order_relaxed);
@@ -85,7 +87,6 @@ void Histogram::reset() {
   for (Shard& shard : shards_) {
     for (auto& bucket : shard.buckets)
       bucket.store(0, std::memory_order_relaxed);
-    shard.count.store(0, std::memory_order_relaxed);
     shard.sum.store(0.0, std::memory_order_relaxed);
   }
   min_.store(std::numeric_limits<double>::infinity(),

@@ -192,9 +192,10 @@ class Histogram {
   /// Exclusive upper edge of bucket `index` (+inf for overflow).
   static double bucket_upper(std::uint32_t index);
 
-  /// Records one sample. Lock-free: three relaxed atomic adds on this
-  /// thread's shard plus two CAS min/max updates on first-in-range
-  /// samples.
+  /// Records one sample. Lock-free: a relaxed atomic add to the
+  /// bucket and a CAS add to the sum on this thread's shard, plus
+  /// min/max CAS updates only when the sample is a new extreme. The
+  /// count is not stored: snapshot() sums the buckets.
   void record(double value);
 
   /// Merges every shard into a plain-value snapshot. O(kBucketCount);
@@ -209,7 +210,6 @@ class Histogram {
  private:
   struct alignas(64) Shard {
     std::array<std::atomic<std::uint64_t>, kBucketCount> buckets{};
-    std::atomic<std::uint64_t> count{0};
     std::atomic<double> sum{0.0};
   };
 

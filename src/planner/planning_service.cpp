@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
-// The cache key is produced by the io layer's canonical serializer — a
+// The cache key is produced by the io layer's canonical writer — a
 // deliberate .cpp-local upward reference: planner and io ship as one
 // static library (libadept), and hand-rolling a second canonical
 // encoding down here would just be a drift hazard.
@@ -248,8 +248,7 @@ PlannerRun PlanningService::execute(const PlanRequest& request,
     // request (null platform, NaN demand) must land in run.error like
     // any planner failure — never escape into a pool worker.
     if (cache_capacity() != 0) {
-      cache_key = detail::fingerprint_digest(
-          wire::request_fingerprint(request, planner));
+      cache_key = wire::request_key(request, planner);
       // Answered from the cache, coalesced onto an identical in-flight
       // job, or stopped while waiting; otherwise this job is the leader
       // for the key and must publish its outcome via cache_finish below.

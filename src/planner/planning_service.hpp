@@ -18,7 +18,10 @@
 /// evaluations and plan-cache traffic across the service's lifetime.
 ///
 /// Plan cache: an optional bounded LRU keyed by the canonical wire-format
-/// fingerprint of (planner, request) — see wire::request_fingerprint.
+/// fingerprint of (planner, request) — see wire::request_fingerprint —
+/// hashed as the canonical writer streams it (wire::request_key: two
+/// SipHash-2-4 streams under per-process random keys, so no fingerprint
+/// string is built and a client cannot aim a key collision).
 /// The key covers the full platform *content*, the middleware parameters,
 /// the service and every plan-relevant option, so a platform edited in
 /// place (add_node / set_link) fingerprints differently and stale entries
@@ -371,8 +374,9 @@ class PlanningService {
   std::atomic<std::size_t> pending_jobs_{0};
 
   /// LRU plan cache: list front = most recent; map points into the list.
-  /// Keys are 16-byte digests of the canonical request fingerprint, so
-  /// per-entry key storage is O(1) regardless of platform size.
+  /// Keys are 16-byte wire::request_key digests of the canonical request
+  /// fingerprint, so per-entry key storage is O(1) regardless of
+  /// platform size.
   struct CacheEntry {
     std::string key;
     PlanResult result;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-// The key is produced by the io layer's canonical serializer — the same
+// The key is produced by the io layer's canonical writer — the same
 // deliberate .cpp-local upward reference planning_service.cpp makes:
 // planner and io ship as one static library (libadept), and a second
 // hand-rolled canonical encoding down here would be a drift hazard.
@@ -11,26 +11,6 @@
 #include "obs/metrics.hpp"
 
 namespace adept {
-
-namespace detail {
-
-std::string fingerprint_digest(const std::string& canonical) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h1 = 14695981039346656037ull;  // FNV offset basis
-  std::uint64_t h2 = 0x9e3779b97f4a7c15ull;    // independent basis
-  for (const unsigned char c : canonical) {
-    h1 = (h1 ^ c) * kPrime;
-    h2 = (h2 ^ (c ^ 0x5bu)) * kPrime;
-  }
-  std::string key(16, '\0');
-  for (int i = 0; i < 8; ++i) {
-    key[i] = static_cast<char>(h1 >> (8 * i));
-    key[8 + i] = static_cast<char>(h2 >> (8 * i));
-  }
-  return key;
-}
-
-}  // namespace detail
 
 ShardPlanCache::ShardPlanCache(std::size_t capacity) : capacity_(capacity) {}
 
@@ -47,8 +27,7 @@ std::string ShardPlanCache::key(const Platform& shard_platform,
   leaf_options.verbose_trace = options.verbose_trace;
   const PlanRequest leaf(shard_platform, params, service,
                          std::move(leaf_options));
-  return detail::fingerprint_digest(
-      wire::request_fingerprint(leaf, leaf_planner));
+  return wire::request_key(leaf, leaf_planner);
 }
 
 std::optional<PlanResult> ShardPlanCache::lookup(const std::string& key) {

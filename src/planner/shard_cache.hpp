@@ -18,9 +18,11 @@
 /// the leaf planner's name, and the wire-travelling options the leaf path
 /// actually forwards (demand, trace switch). Runtime-only knobs
 /// (deadline, cancel token, pool — and this cache itself) are excluded,
-/// so re-asking under a fresh budget hits. The digest is the same
-/// 128-bit dual-FNV construction the plan cache uses, so per-entry key
-/// storage is O(1) however large the shard is.
+/// so re-asking under a fresh budget hits. The key is the same
+/// wire::request_key the plan cache uses: the fingerprint's bytes are
+/// streamed from the canonical writer into two keyed SipHash-2-4 streams,
+/// so no fingerprint string is built per probe and per-entry key storage
+/// is 16 bytes however large the shard is.
 ///
 /// Values are the leaf PlanResult in *sub-platform-local* node ids (the
 /// form the leaf planner produces before the sharded core remaps to
@@ -67,13 +69,6 @@ class MetricsRegistry;
 class Counter;
 }  // namespace obs
 
-namespace detail {
-/// 128-bit digest (two independent FNV-1a streams) of a canonical
-/// fingerprint string, packed into a 16-byte key. Shared by the plan
-/// cache and the shard cache so the two key constructions cannot drift.
-std::string fingerprint_digest(const std::string& canonical);
-}  // namespace detail
-
 /// Bounded LRU of shard leaf plans (see the file comment for the full
 /// contract). Owned by a PlanningService and handed to planners through
 /// PlanOptions::shard_cache; usable standalone (tests, the CLI's
@@ -97,7 +92,7 @@ class ShardPlanCache {
   ShardPlanCache(const ShardPlanCache&) = delete;             ///< Non-copyable.
   ShardPlanCache& operator=(const ShardPlanCache&) = delete;  ///< Non-copyable.
 
-  /// Canonical key of one leaf shard problem: the fingerprint digest of
+  /// Canonical key of one leaf shard problem: wire::request_key of
   /// {leaf_planner, shard sub-platform, params, service, leaf options}.
   /// Only the options the leaf path forwards enter the key — demand and
   /// the trace switch — exactly the fields Coordinator::dispatch_leaves

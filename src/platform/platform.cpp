@@ -2,20 +2,50 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <functional>
+#include <string_view>
 
 #include "common/error.hpp"
 
 namespace adept {
 
+namespace {
+
+/// Index of the first node, in input order, whose name an earlier node
+/// already has; nodes.size() when every name is unique. One flat
+/// open-addressing table of name pointers, sized once: no per-node
+/// allocation.
+std::size_t first_repeated_name(const std::vector<NodeSpec>& nodes) {
+  std::size_t capacity = 16;
+  while (capacity < 2 * nodes.size()) capacity *= 2;
+  std::vector<const std::string*> slots(capacity, nullptr);
+  const std::hash<std::string_view> hash;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const std::string& name = nodes[i].name;
+    for (std::size_t slot = hash(name) & (capacity - 1);;
+         slot = (slot + 1) & (capacity - 1)) {
+      if (slots[slot] == nullptr) {
+        slots[slot] = &name;
+        break;
+      }
+      if (*slots[slot] == name) return i;
+    }
+  }
+  return nodes.size();
+}
+
+}  // namespace
+
 Platform::Platform(std::vector<NodeSpec> nodes, MbitRate bandwidth)
     : nodes_(std::move(nodes)), bandwidth_(bandwidth) {
   ADEPT_CHECK(bandwidth_ > 0.0, "platform bandwidth must be positive");
-  std::set<std::string> names;
-  for (const auto& node : nodes_) {
-    validate_node(node);
-    ADEPT_CHECK(names.insert(node.name).second,
-                "duplicate node name '" + node.name + "'");
+  // The error names the first node, in input order, that is invalid or
+  // repeats an earlier name.
+  const std::size_t repeated = first_repeated_name(nodes_);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    validate_node(nodes_[i]);
+    ADEPT_CHECK(i != repeated,
+                "duplicate node name '" + nodes_[i].name + "'");
   }
   rebuild_caches();
 }

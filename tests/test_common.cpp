@@ -11,6 +11,7 @@
 #include "common/argparse.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/siphash.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -307,6 +308,39 @@ TEST(Error, CheckMacroThrowsWithContext) {
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("math is broken"), std::string::npos);
   }
+}
+
+
+// ----------------------------------------------------------------- SipHash --
+
+TEST(SipHash, MatchesThePublishedReferenceVector) {
+  // Aumasson & Bernstein's SipHash-2-4 test vector: key 00..0f, message
+  // 00..0e (15 bytes) -> a129ca6149be45e5.
+  const SipKey key{0x0706050403020100ull, 0x0f0e0d0c0b0a0908ull};
+  std::string message;
+  for (char c = 0; c < 15; ++c) message.push_back(c);
+  SipHasher whole(key);
+  whole.update(message);
+  EXPECT_EQ(whole.digest(), 0xa129ca6149be45e5ull);
+  // Any chunking of the message gives the same hash.
+  for (std::size_t cut = 0; cut <= message.size(); ++cut) {
+    SipHasher split(key);
+    split.update(std::string_view(message).substr(0, cut));
+    split.update(std::string_view(message).substr(cut));
+    EXPECT_EQ(split.digest(), 0xa129ca6149be45e5ull) << cut;
+  }
+  SipHasher bytewise(key);
+  for (const char c : message) bytewise.update(std::string_view(&c, 1));
+  EXPECT_EQ(bytewise.digest(), 0xa129ca6149be45e5ull);
+}
+
+TEST(SipHash, ProcessKeysAreStableAndDistinct) {
+  const SipKey first = process_sip_key(0);
+  const SipKey second = process_sip_key(1);
+  EXPECT_EQ(process_sip_key(0).k0, first.k0);
+  EXPECT_EQ(process_sip_key(0).k1, first.k1);
+  EXPECT_FALSE(first.k0 == second.k0 && first.k1 == second.k1);
+  EXPECT_THROW(process_sip_key(2), Error);
 }
 
 }  // namespace

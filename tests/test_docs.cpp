@@ -11,6 +11,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -171,6 +172,47 @@ TEST(WireDoc, EveryAnnotatedExampleRoundTripsExactly) {
     ASSERT_NO_THROW(doc = json::parse(example.body)) << example.body;
     EXPECT_NO_THROW(handler->second(doc));
   }
+}
+
+TEST(WireDoc, StreamingCodecsMatchTheDomOnEveryExample) {
+  // The per-request codecs: the streaming writer emits the DOM's bytes
+  // for every request, run and portfolio example, and every request
+  // example, read as a serve line, decodes without a DOM to the same
+  // request.
+  const auto streamed = [](const auto& value) {
+    std::string out;
+    json::Writer writer(out);
+    wire::write(writer, value);
+    return out;
+  };
+  std::size_t checked = 0;
+  for (const DocExample& example : extract_examples(kWireDoc)) {
+    SCOPED_TRACE("WIRE.md:" + std::to_string(example.line) + " (" +
+                 example.type + ")");
+    const json::Value doc = json::parse(example.body);
+    if (example.type == "request") {
+      const PlanRequest request = wire::request_from_json(doc);
+      EXPECT_EQ(streamed(request), wire::to_json(request).dump());
+      const std::optional<wire::PlanLine> fast =
+          wire::decode_plan_line(example.body);
+      ASSERT_TRUE(fast.has_value());
+      const wire::PlanLine dom = wire::plan_line_from_json(doc);
+      EXPECT_EQ(fast->id, dom.id);
+      EXPECT_EQ(fast->planner, dom.planner);
+      EXPECT_EQ(wire::to_json(fast->request).dump(),
+                wire::to_json(dom.request).dump());
+    } else if (example.type == "planner-run") {
+      const PlannerRun run = wire::planner_run_from_json(doc);
+      EXPECT_EQ(streamed(run), wire::to_json(run).dump());
+    } else if (example.type == "portfolio") {
+      const PortfolioResult portfolio = wire::portfolio_from_json(doc);
+      EXPECT_EQ(streamed(portfolio), wire::to_json(portfolio).dump());
+    } else {
+      continue;
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 5u);
 }
 
 TEST(WireDoc, CoversEveryWireType) {

@@ -262,6 +262,23 @@ TEST(ObsScopedTimer, RecordsElapsedOnDestructionAndStopDisarms) {
   EXPECT_EQ(h.snapshot().count, 2u);
 }
 
+TEST(ObsHistogramSnapshots, CountIsTheBucketTotal) {
+  // record() stores no count of its own: the snapshot derives it from
+  // the buckets, sentinel buckets included.
+  Histogram histogram;
+  const double values[] = {-1.0, 0.0, 1e-9, 0.5, 1.0, 3.0, 1e9,
+                           std::numeric_limits<double>::quiet_NaN()};
+  for (int round = 0; round < 25; ++round)
+    for (const double value : values) histogram.record(value);
+  const HistogramSnapshot s = histogram.snapshot();
+  std::uint64_t total = 0;
+  for (const auto& bucket : s.buckets) total += bucket.second;
+  EXPECT_EQ(s.count, 25u * std::size(values));
+  EXPECT_EQ(s.count, total);
+  histogram.reset();
+  EXPECT_EQ(histogram.snapshot().count, 0u);
+}
+
 // ------------------------------------------------- concurrent recording ----
 
 // The TSan CI job runs this binary: 8 writers hammering one histogram,

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "platform/generator.hpp"
@@ -20,6 +23,40 @@ TEST(Platform, ConstructionValidates) {
   EXPECT_THROW(Platform({{"a", -1.0}}, 1000.0), Error);       // bad power
   EXPECT_THROW(Platform({{"", 1.0}}, 1000.0), Error);         // empty name
   EXPECT_THROW(Platform({{"a", 1.0}, {"a", 2.0}}, 1000.0), Error);  // dup name
+}
+
+/// The domain message of the constructor's error for `nodes`.
+std::string construction_error(std::vector<NodeSpec> nodes) {
+  try {
+    Platform platform(std::move(nodes), 100.0);
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    return what.substr(what.rfind(" — ") + std::string(" — ").size());
+  }
+  return "";
+}
+
+TEST(Platform, ConstructionNamesTheFirstBadNodeInInputOrder) {
+  // Two duplicate pairs: "b" repeats (at 3) before "a" does (at 4), even
+  // though "a" sorts first.
+  EXPECT_EQ(construction_error({{"a", 1.0}, {"b", 1.0}, {"c", 1.0},
+                                {"b", 1.0}, {"a", 1.0}}),
+            "duplicate node name 'b'");
+  EXPECT_EQ(construction_error({{"x", 1.0}, {"y", 1.0}, {"y", 1.0},
+                                {"x", 1.0}}),
+            "duplicate node name 'y'");
+  // A duplicate placed before an invalid node is reported first...
+  EXPECT_EQ(construction_error({{"a", 1.0}, {"a", 2.0}, {"bad", -1.0}}),
+            "duplicate node name 'a'");
+  // ...and an invalid node placed before a duplicate, likewise.
+  EXPECT_EQ(construction_error({{"a", 1.0}, {"bad", -1.0}, {"a", 2.0}}),
+            "node 'bad' must have positive power");
+  // A repeated name that is also invalid fails its own validation first.
+  EXPECT_EQ(construction_error({{"a", 1.0}, {"a", 0.0}}),
+            "node 'a' must have positive power");
+  EXPECT_EQ(construction_error({{"a", 1.0}, {"", 1.0}}),
+            "node name must be non-empty");
+  EXPECT_EQ(construction_error({{"a", 1.0}, {"b", 1.0}}), "");
 }
 
 TEST(Platform, AddNodeRejectsDuplicates) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <sstream>
@@ -539,6 +540,161 @@ TEST(Serve, SlowReaderStallsTheWriterNotTheSession) {
     EXPECT_EQ(responses[i].at("id").as_string(), order[i]);
     EXPECT_TRUE(responses[i].at("ok").as_bool()) << responses[i].dump();
   }
+}
+
+
+/// Counts how the session hands its answers to the stream.
+class CountingSink : public std::streambuf {
+ public:
+  std::string text;
+  std::size_t puts = 0;       ///< xsputn calls.
+  std::size_t overflows = 0;  ///< Single-character writes.
+
+ protected:
+  std::streamsize xsputn(const char* data, std::streamsize count) override {
+    ++puts;
+    text.append(data, static_cast<std::size_t>(count));
+    return count;
+  }
+  int overflow(int ch) override {
+    ++overflows;
+    if (ch != traits_type::eof()) text.push_back(static_cast<char>(ch));
+    return ch;
+  }
+};
+
+TEST(Serve, EachAnswerIsOneWriteOfTheLineAndItsNewline) {
+  const std::string platform = platform_json(53);
+  std::stringstream in;
+  in << R"({"id":1,"planner":"star","platform":)" << platform
+     << R"(,"service":"dgemm-100"})" << "\n"
+     << "not json\n"
+     << R"({"id":2,"planner":"portfolio","platform":)" << platform
+     << R"(,"service":"dgemm-100"})" << "\n"
+     << R"({"cmd":"stats"})" << "\n"
+     << R"({"cmd":"cancel","id":9})" << "\n"
+     << R"({"cmd":"metrics"})" << "\n";
+  CountingSink sink;
+  std::ostream out(&sink);
+  io::ServeConfig config;
+  config.threads = 2;
+  io::serve_session(in, out, config);
+  const std::size_t lines =
+      static_cast<std::size_t>(std::count(sink.text.begin(), sink.text.end(), '\n'));
+  EXPECT_EQ(lines, 6u);
+  EXPECT_EQ(sink.puts, lines);
+  EXPECT_EQ(sink.overflows, 0u);
+  EXPECT_EQ(sink.text.back(), '\n');
+}
+
+/// The envelope the DOM rules build from an answer's own fields: id, ok,
+/// then status, degraded, an "error" only when ok is false, the retry
+/// hint, and the payload encoded exactly as wire::to_json encodes the
+/// decoded value.
+json::Value dom_envelope(const json::Value& answer) {
+  const bool ok = answer.at("ok").as_bool();
+  json::Value out = json::Value::object();
+  out.set("id", answer.at("id"));
+  out.set("ok", ok);
+  if (const json::Value* status = answer.find("status"))
+    out.set("status", *status);
+  if (answer.find("degraded") != nullptr) out.set("degraded", true);
+  if (!ok) out.set("error", answer.at("error"));
+  if (const json::Value* retry = answer.find("retry_after_ms"))
+    out.set("retry_after_ms", *retry);
+  if (const json::Value* run = answer.find("run"))
+    out.set("run", wire::to_json(wire::planner_run_from_json(*run)));
+  if (const json::Value* portfolio = answer.find("portfolio"))
+    out.set("portfolio", wire::to_json(wire::portfolio_from_json(*portfolio)));
+  return out;
+}
+
+/// Every answer line of a session over `lines` is canonical (it re-dumps
+/// to itself) and equals dom_envelope of itself; returns the count.
+std::size_t expect_dom_envelopes(const std::vector<std::string>& lines,
+                                 const io::ServeConfig& config) {
+  std::stringstream in, out;
+  for (const std::string& line : lines) in << line << "\n";
+  io::serve_session(in, out, config);
+  std::string line;
+  std::size_t answers = 0;
+  while (std::getline(out, line)) {
+    ++answers;
+    const json::Value doc = json::parse(line);
+    EXPECT_EQ(doc.dump(), line);
+    EXPECT_EQ(dom_envelope(doc).dump(), line);
+  }
+  return answers;
+}
+
+TEST(Serve, StreamedAnswersAreTheDomEnvelopeByteForByte) {
+  const std::string platform = platform_json(59);
+  io::ServeConfig config;
+  config.threads = 1;
+  config.cache = CacheConfig{8, 0, true};
+  EXPECT_EQ(
+      expect_dom_envelopes(
+          {R"({"id":"a\u0001\"q","planner":"heuristic","platform":)" +
+               platform + R"(,"service":"dgemm-310"})",
+           R"({"id":900000,"planner":"heuristic","platform":)" + platform +
+               R"(,"service":"dgemm-310"})",
+           R"({"id":[1,{"k":null}],"planner":"no-such","platform":)" +
+               platform + R"(,"service":"dgemm-310"})",
+           R"({"id":4,"planner":"portfolio","platform":)" + platform +
+               R"(,"service":"dgemm-310"})",
+           R"({"id":5,"planner":"star","platform":)" + platform +
+               R"(,"service":"dgemm-310","budget_ms":0})",
+           "{\"id\":6,"},
+          config),
+      6u);
+  // Overloaded refusals and degraded answers, behind a sleeper that
+  // holds the only admission slot.
+  config.cache = {};
+  config.max_pending = 1;
+  for (const bool degrade : {false, true}) {
+    config.degrade = degrade;
+    EXPECT_EQ(
+        expect_dom_envelopes(
+            {R"({"id":"slow","planner":"test-sleeper","platform":)" +
+                 platform + R"(,"service":"dgemm-310"})",
+             R"({"id":"late","planner":"heuristic","platform":)" + platform +
+                 R"(,"service":"dgemm-310"})"},
+            config),
+        2u);
+  }
+}
+
+TEST(Serve, LinesTheFastDecoderDeclinesKeepTheDomErrors) {
+  // A repeated key is a parse error (no id to echo); a bad budget or a
+  // non-string planner is a request error that echoes the id.
+  const std::string platform = platform_json(61);
+  const auto [answered, responses] = run_session({
+      R"({"id":"dup","id":"again","platform":)" + platform +
+          R"(,"service":"dgemm-310"})",
+      R"({"id":"budget","platform":)" + platform +
+          R"(,"service":"dgemm-310","budget_ms":-1})",
+      R"({"id":"planner","planner":7,"platform":)" + platform +
+          R"(,"service":"dgemm-310"})",
+      R"({"id":"nested","platform":{"bandwidth":1000,"nodes":[{"name":"a","power":1,"power":2}]},"service":"dgemm-310"})",
+  });
+  EXPECT_EQ(answered, 0u);
+  ASSERT_EQ(responses.size(), 4u);
+  EXPECT_TRUE(responses[0].at("id").is_null());
+  EXPECT_NE(responses[0].at("error").as_string().find(
+                "duplicate object key 'id'"),
+            std::string::npos);
+  EXPECT_EQ(responses[1].at("id").as_string(), "budget");
+  EXPECT_NE(responses[1].at("error").as_string().find(
+                "budget_ms must be in (0, 8.64e10]"),
+            std::string::npos);
+  EXPECT_EQ(responses[2].at("id").as_string(), "planner");
+  EXPECT_NE(responses[2].at("error").as_string().find(
+                "JSON value is number, expected string"),
+            std::string::npos);
+  EXPECT_TRUE(responses[3].at("id").is_null());
+  EXPECT_NE(responses[3].at("error").as_string().find(
+                "duplicate object key 'power'"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -470,6 +474,438 @@ TEST(Wire, OversizedLinesParseWithoutTruncationOrCrash) {
   EXPECT_GT(dumped.size(), 500000u);
   EXPECT_EQ(json::parse(dumped).as_array().size(), 100000u);
   EXPECT_EQ(json::parse(dumped).dump(), dumped);
+}
+
+
+// ------------------------------------------------------ streaming codecs --
+//
+// The per-request paths encode with wire::write / request_key and decode
+// with decode_plan_line / decode_run_answer. Each is pinned to its
+// json::Value twin: same bytes out, same lines accepted, equal values.
+
+template <typename T>
+std::string streamed(const T& value) {
+  std::string out;
+  json::Writer writer(out);
+  wire::write(writer, value);
+  return out;
+}
+
+/// A request exercising every options field, on `platform`.
+PlanRequest varied_request(const Platform& platform, std::mt19937& rng) {
+  PlanRequest request(platform, kParams, dgemm_service(310));
+  if (rng() % 2 == 0) request.options.demand = 1.0 + (rng() % 100000) / 7.0;
+  request.options.degree = rng() % 4;
+  request.options.shards = rng() % 3 == 0 ? 900000 : rng() % 5;
+  if (rng() % 3 == 0)
+    request.options.excluded = {0, platform.size() - 1, 100000};
+  request.options.verbose_trace = rng() % 2 == 0;
+  if (rng() % 4 == 0) request.service = ServiceSpec{"cu\"stom\x01", 0.5};
+  return request;
+}
+
+TEST(Json, StreamingWriterHandsTheSinkTheStringWritersBytes) {
+  // A document far over one chunk, cut into sink writes at chunk
+  // boundaries, reassembles to exactly what dump() writes.
+  struct Collect final : json::ByteSink {
+    std::string text;
+    std::size_t writes = 0;
+    void write(std::string_view bytes) override {
+      text += bytes;
+      ++writes;
+    }
+  } sink;
+  std::mt19937 rng(41);
+  json::Value doc = json::Value::array();
+  while (doc.dump().size() < 20000) doc.push_back(random_value(rng, 4));
+  json::Writer writer(sink);
+  writer.value(doc);
+  writer.flush();
+  EXPECT_EQ(sink.text, doc.dump());
+  EXPECT_GT(sink.writes, 1u);
+}
+
+TEST(Json, WriterEscapesControlBytesAsLowerCaseUnicode) {
+  EXPECT_EQ(json::Value(std::string("\x01\x1f\x7f\"\\\b\f\n\r\t", 10)).dump(),
+            "\"\\u0001\\u001f\x7f\\\"\\\\\\b\\f\\n\\r\\t\"");
+  // Indices go through the double formatter, like Value(std::size_t).
+  std::string out;
+  json::Writer(out).begin_array().index(900000).index(100).index(0).end_array();
+  EXPECT_EQ(out, "[9e+05,100,0]");
+  EXPECT_EQ(out, json::Value(json::Value::Array{json::Value(std::size_t{900000}),
+                                                json::Value(std::size_t{100}),
+                                                json::Value(std::size_t{0})})
+                     .dump());
+}
+
+TEST(Json, IntegerFastPathsMatchTheDoubleFormatterAndParser) {
+  // Writer::index takes an integer route below 2^53 and Reader::number
+  // one for plain integers of up to 15 digits; both must give exactly
+  // what the double formatter and from_chars give.
+  std::vector<std::size_t> values;
+  for (std::size_t n = 0; n <= 2000000; ++n) values.push_back(n);
+  std::mt19937_64 rng(53);
+  for (std::size_t scale = 10; scale < (std::size_t{1} << 60); scale *= 10)
+    for (std::size_t digit = 1; digit < 100; ++digit)
+      values.push_back(digit * scale);
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(rng() >> (rng() % 64));
+    values.push_back(rng() % 1000 * std::size_t{1000000000});
+  }
+  values.push_back((std::size_t{1} << 53) - 1);
+  values.push_back(std::size_t{1} << 53);
+  std::string fast, reference;
+  for (const std::size_t n : values) {
+    fast.clear();
+    reference.clear();
+    json::Writer(fast).index(n);
+    json::Writer(reference).number(static_cast<double>(n));
+    ASSERT_EQ(fast, reference) << n;
+    ASSERT_EQ(json::parse(fast).as_number(), static_cast<double>(n)) << n;
+    const std::string plain = std::to_string(n);
+    const double expected = std::stod(plain);
+    ASSERT_EQ(json::parse(plain).as_number(), expected) << plain;
+    ASSERT_EQ(json::parse("-" + plain).as_number(), -expected) << plain;
+  }
+  EXPECT_TRUE(std::signbit(json::parse("-0").as_number()));
+}
+
+TEST(Wire, StreamedRequestsMatchTheDomOnRandomAndPresetPlatforms) {
+  std::mt19937 seeds(17);
+  std::vector<Platform> platforms;
+  for (int i = 0; i < 20; ++i) {
+    Rng rng(seeds());
+    Platform platform =
+        gen::uniform(2 + seeds() % 40, 100.0, 1500.0, kB, rng);
+    if (i % 2 == 0) platform.set_link(0, 12.5);
+    platforms.push_back(platform);
+  }
+  for (const gen::PlatformCatalogEntry& entry : gen::platform_catalog())
+    platforms.push_back(gen::catalog_platform(entry.name, 60, 5));
+  for (const Platform& platform : platforms) {
+    const PlanRequest request = varied_request(platform, seeds);
+    EXPECT_EQ(streamed(request), wire::to_json(request).dump());
+    // The fingerprint is the DOM's {planner, request} document.
+    json::Value fingerprint = json::Value::object();
+    fingerprint.set("planner", "heur\"istic");
+    fingerprint.set("request", wire::to_json(request));
+    EXPECT_EQ(wire::request_fingerprint(request, "heur\"istic"),
+              fingerprint.dump());
+  }
+}
+
+TEST(Wire, StreamedRunsAndPortfoliosMatchTheDom) {
+  Rng rng(23);
+  const Platform platform = gen::uniform(30, 200.0, 1200.0, kB, rng);
+  PlanningService service(2);
+  const PortfolioResult portfolio =
+      service.run_portfolio(PlanRequest(platform, kParams, dgemm_service(310)));
+  ASSERT_TRUE(portfolio.has_winner());
+  EXPECT_EQ(streamed(portfolio), wire::to_json(portfolio).dump());
+  for (const PlannerRun& run : portfolio.runs)
+    EXPECT_EQ(streamed(run), wire::to_json(run).dump()) << run.planner;
+
+  // Trace strings carrying every kind of escape.
+  PlannerRun traced = portfolio.best();
+  traced.result.trace = {"quote \" back \\ slash", "ctl \x01\x1f tab\t",
+                         "utf-8 \xc3\xa9", ""};
+  EXPECT_EQ(streamed(traced), wire::to_json(traced).dump());
+  // A failed run writes "result": null, whatever its stale result holds.
+  PlannerRun failed = traced;
+  failed.ok = false;
+  failed.skipped = true;
+  failed.error = "planning deadline \"exceeded\"\n";
+  EXPECT_EQ(streamed(failed), wire::to_json(failed).dump());
+  EXPECT_NE(streamed(failed).find("\"result\":null"), std::string::npos);
+  // No winner, unlimited scores.
+  PortfolioResult lost = portfolio;
+  lost.winner = PortfolioResult::npos;
+  lost.scores.assign(lost.runs.size(), kUnlimitedDemand);
+  lost.runs.push_back(failed);
+  EXPECT_EQ(streamed(lost), wire::to_json(lost).dump());
+}
+
+/// What a serve session's DOM path makes of a plan-request line: nullopt
+/// for control lines and for every line it answers with an error.
+std::optional<wire::PlanLine> dom_plan_line(const std::string& line) {
+  try {
+    const json::Value doc = json::parse(line);
+    if (doc.find("cmd") != nullptr) return std::nullopt;
+    return wire::plan_line_from_json(doc);
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
+/// The fast decoder accepts `line` exactly when the DOM path does, and
+/// then decodes an equal line.
+void expect_same_decode(const std::string& line) {
+  const std::optional<wire::PlanLine> fast = wire::decode_plan_line(line);
+  const std::optional<wire::PlanLine> dom = dom_plan_line(line);
+  ASSERT_EQ(fast.has_value(), dom.has_value()) << line;
+  if (!fast.has_value()) return;
+  EXPECT_EQ(fast->id, dom->id) << line;
+  EXPECT_EQ(fast->planner, dom->planner) << line;
+  EXPECT_EQ(fast->budget_ms, dom->budget_ms) << line;
+  EXPECT_EQ(*fast->request.platform, *dom->request.platform) << line;
+  EXPECT_EQ(wire::to_json(fast->request).dump(),
+            wire::to_json(dom->request).dump())
+      << line;
+}
+
+/// A plan-request line assembled from (key, value-text) members, so tests
+/// control key order, spelling and repetition.
+std::string line_of(const std::vector<std::pair<std::string, std::string>>&
+                        members) {
+  std::string out = "{";
+  for (const auto& [key, value] : members) {
+    if (out.size() > 1) out += ",";
+    out += key + ":" + value;
+  }
+  return out + "}";
+}
+
+TEST(Wire, FastDecoderAcceptsExactlyWhatTheDomAccepts) {
+  Rng rng(29);
+  Platform platform = gen::uniform(6, 200.0, 1200.0, kB, rng);
+  platform.set_link(2, 40.0);
+  const std::string p = wire::to_json(platform).dump();
+  const std::string params = wire::to_json(kParams).dump();
+  const std::string options =
+      R"({"demand":12.5,"degree":2,"shards":1,"excluded":[1,4],"verbose_trace":false})";
+  const std::vector<std::pair<std::string, std::string>> base = {
+      {"\"id\"", "7"},          {"\"planner\"", "\"star\""},
+      {"\"platform\"", p},      {"\"service\"", "\"dgemm-310\""},
+      {"\"params\"", params},   {"\"options\"", options},
+      {"\"budget_ms\"", "250"}};
+
+  // Every key order (a rotation and reversal of each prefix order).
+  for (std::size_t r = 0; r < base.size(); ++r) {
+    auto members = base;
+    std::rotate(members.begin(), members.begin() + r, members.end());
+    expect_same_decode(line_of(members));
+    std::reverse(members.begin(), members.end());
+    expect_same_decode(line_of(members));
+  }
+  // Ids of every JSON type, and none.
+  for (const std::string id :
+       {"null", "true", "false", "-0.5e3", "\"x\\u00e9\\n\"", "[1,[2],{}]",
+        "{\"a\":{\"b\":[null]}}", "900000"}) {
+    auto members = base;
+    members[0].second = id;
+    expect_same_decode(line_of(members));
+  }
+  expect_same_decode(line_of({base.begin() + 1, base.end()}));
+  // All three service forms, and their failures.
+  for (const std::string service :
+       {"\"dgemm-100\"", "59.5", R"({"name":"x\"y","wapp":3,"extra":[1]})",
+        "0", "-2", "\"dgemm-0\"", "\"dgemm-x\"", "\"sgemm-3\"", "null",
+        "[1]", R"({"name":"x"})", "true"}) {
+    auto members = base;
+    members[3].second = service;
+    expect_same_decode(line_of(members));
+  }
+  // Options of every shape: a non-object means defaults.
+  for (const std::string value :
+       {"5", "null", "[]", "\"x\"", "{}", R"({"demand":"unlimited"})",
+        R"({"demand":"limited"})", R"({"degree":1.5})", R"({"degree":-1})",
+        R"({"excluded":[1.5]})", R"({"excluded":3})",
+        R"({"verbose_trace":1})", R"({"shards":9e15,"other":{"a":[]}})"}) {
+    auto members = base;
+    members[5].second = value;
+    expect_same_decode(line_of(members));
+  }
+  // Params, budgets, planners and platforms at their edges.
+  for (const auto& [index, value] : std::vector<std::pair<int, std::string>>{
+           {4, "null"},
+           {4, R"({"agent":{"wreq":1}})"},
+           {4, R"({"agent":{"wreq":1,"wfix":1,"wsel":1,"wpre":1,"sreq":1,"srep":1}})"},
+           {6, "0"}, {6, "-1"}, {6, "1e11"}, {6, "8.64e10"}, {6, "\"5\""},
+           {1, "5"}, {1, "\"portfolio\""},
+           {2, R"({"bandwidth":-1,"nodes":[]})"},
+           {2, R"({"bandwidth":1,"nodes":[{"name":"a","power":1},{"name":"a","power":2}]})"},
+           {2, R"({"bandwidth":1,"nodes":[{"name":"a","power":-1}]})"},
+           {2, R"({"bandwidth":1,"nodes":[{"name":"a"}]})"},
+           {2, R"({"nodes":[]})"},
+           {2, "[]"}}) {
+    auto members = base;
+    members[static_cast<std::size_t>(index)].second = value;
+    expect_same_decode(line_of(members));
+  }
+  // Escaped keys and names decode like the DOM's.
+  {
+    auto members = base;
+    members[2] = {"\"pl\\u0061tform\"",
+                  R"({"bandwidth":5,"nodes":[{"name":"a\"b\\cé\u0001","power":3}]})"};
+    expect_same_decode(line_of(members));
+  }
+  // Unknown members are validated and skipped at every depth.
+  const std::string unknown = R"("zz":{"a":[1,{"b":null}],"c":"é"})";
+  for (const std::string& where :
+       {std::string("{") + unknown + ",",
+        std::string(R"("bandwidth":)"), std::string(R"("name":)"),
+        std::string(R"("wreq":)"), std::string(R"("demand":)")}) {
+    std::string line = line_of(base);
+    const std::size_t at = where == "{" + unknown + ","
+                               ? std::string::npos
+                               : line.find(where);
+    if (at == std::string::npos) {
+      line.insert(1, unknown + ",");
+    } else {
+      line.insert(at, unknown + ",");
+    }
+    expect_same_decode(line);
+  }
+  // Duplicate keys at each depth: top level, platform, node, params,
+  // costs, service, options, inside an unknown member and inside the id.
+  for (const std::string& key :
+       {std::string(R"("planner":)"), std::string(R"("bandwidth":)"),
+        std::string(R"("name":)"), std::string(R"("agent":)"),
+        std::string(R"("wreq":)"), std::string(R"("demand":)")}) {
+    std::string line = line_of(base);
+    const std::size_t at = line.find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::size_t value_end = line.find_first_of(",}", at + key.size());
+    // Repeat the member right after itself when its value is a scalar;
+    // an object-valued member repeats as an empty object.
+    const std::string value =
+        line[at + key.size()] == '{' ? "{}" : line.substr(at + key.size(), value_end - at - key.size());
+    line.insert(at, key + value + ",");
+    expect_same_decode(line);
+  }
+  for (const std::string& extra :
+       {std::string(R"("x":1,"x":2)"), std::string(R"("x":{"a":1,"a":2})"),
+        std::string(R"("id":{"a":1,"a":2})"),
+        std::string(R"("cmd":"stats")"), std::string(R"("cmd":5)")}) {
+    auto members = base;
+    members.erase(members.begin());  // the id slot, so "id" may repeat once
+    std::string line = line_of(members);
+    line.insert(1, extra + ",");
+    expect_same_decode(line);
+  }
+  auto service_object = base;
+  service_object[3].second = R"({"name":"a","name":"b","wapp":1})";
+  expect_same_decode(line_of(service_object));
+  // Not objects, trailing input, whitespace, CRLF clients.
+  for (const std::string line :
+       {"", " ", "[]", "\"x\"", "5", "null", "{}", "{\"cmd\":\"quit\"}"})
+    expect_same_decode(line);
+  expect_same_decode(line_of(base) + " \r");
+  expect_same_decode(line_of(base) + " {}");
+  expect_same_decode("\n\t " + line_of(base));
+
+  // Every prefix, and injected or deleted bytes anywhere.
+  const std::string line = line_of(base);
+  for (std::size_t cut = 0; cut < line.size(); ++cut)
+    expect_same_decode(line.substr(0, cut));
+  std::mt19937 where(31);
+  const std::string garbage = "@\x01~Z,:]}[{\"\\ 0-e.";
+  for (int i = 0; i < 600; ++i) {
+    std::string corrupted = line;
+    const std::size_t at =
+        std::uniform_int_distribution<std::size_t>(0, line.size() - 1)(where);
+    if (i % 3 == 0) {
+      corrupted.erase(at, 1);
+    } else {
+      corrupted.insert(at, 1, garbage[i % garbage.size()]);
+    }
+    expect_same_decode(corrupted);
+  }
+}
+
+TEST(Wire, FastDecoderMatchesTheDomOnRandomRequests) {
+  std::mt19937 seeds(37);
+  for (int i = 0; i < 30; ++i) {
+    Rng rng(seeds());
+    Platform platform = gen::uniform(2 + seeds() % 50, 100.0, 1500.0, kB, rng);
+    if (i % 3 == 0) platform.set_link(1, 7.25);
+    const PlanRequest request = varied_request(platform, seeds);
+    std::string line = streamed(request);
+    line.insert(1, "\"id\":" + std::to_string(i) + ",\"planner\":\"heuristic\",");
+    expect_same_decode(line);
+    const std::optional<wire::PlanLine> fast = wire::decode_plan_line(line);
+    ASSERT_TRUE(fast.has_value()) << line;
+    EXPECT_EQ(wire::request_fingerprint(fast->request, "heuristic"),
+              wire::request_fingerprint(request, "heuristic"));
+  }
+}
+
+TEST(Wire, FastAnswerDecoderMatchesTheDom) {
+  Rng rng(43);
+  const Platform platform = gen::uniform(20, 200.0, 1200.0, kB, rng);
+  PlanningService service(1);
+  PlannerRun run =
+      service.run(PlanRequest(platform, kParams, dgemm_service(310)), "heuristic");
+  ASSERT_TRUE(run.ok);
+  run.result.trace.push_back("esc \"\\\x01");
+  PlannerRun failed = run;
+  failed.ok = false;
+  failed.error = "no";
+  const auto answer = [](std::size_t id, const PlannerRun& r) {
+    std::string out;
+    json::Writer writer(out);
+    writer.begin_object().key("id").index(id).key("ok").boolean(r.ok);
+    if (!r.ok) writer.key("error").string(r.error);
+    writer.key("run");
+    wire::write(writer, r);
+    writer.end_object();
+    return out;
+  };
+  const std::vector<std::string> lines = {
+      answer(3, run), answer(900000, run), answer(4, failed),
+      R"({"id":1,"ok":false,"error":"parse"})",
+      R"({"ok":false,"run":5,"id":2})",
+      R"({"id":1,"ok":true})", R"({"id":-1,"ok":true,"run":{}})"};
+  for (const std::string& line : lines) {
+    const std::optional<wire::RunAnswer> fast = wire::decode_run_answer(line);
+    std::optional<wire::RunAnswer> dom;
+    try {
+      dom = wire::run_answer_from_json(json::parse(line));
+    } catch (const Error&) {
+    }
+    if (!fast.has_value()) continue;  // declined: the DOM decides
+    ASSERT_TRUE(dom.has_value()) << line;
+    EXPECT_EQ(fast->id, dom->id);
+    EXPECT_EQ(fast->ok, dom->ok);
+    EXPECT_EQ(wire::to_json(fast->run).dump(), wire::to_json(dom->run).dump());
+  }
+  // The well-formed answers decode on the fast path.
+  EXPECT_TRUE(wire::decode_run_answer(lines[0]).has_value());
+  EXPECT_TRUE(wire::decode_run_answer(lines[2]).has_value());
+  // Truncated answers never decode.
+  for (std::size_t cut = 0; cut < lines[0].size(); cut += 5)
+    EXPECT_FALSE(wire::decode_run_answer(lines[0].substr(0, cut)).has_value());
+}
+
+TEST(Wire, RequestKeysAreEqualExactlyWhenFingerprintsAre) {
+  Rng rng(47);
+  const Platform a = gen::uniform(12, 200.0, 1200.0, kB, rng);
+  const Platform b = gen::uniform(12, 200.0, 1200.0, kB, rng);
+  const Platform big = gen::uniform(400, 200.0, 1200.0, kB, rng);  // chunks
+  std::vector<std::pair<PlanRequest, std::string>> cases;
+  for (const Platform* platform : {&a, &b, &big}) {
+    PlanRequest request(*platform, kParams, dgemm_service(310));
+    cases.emplace_back(request, "heuristic");
+    cases.emplace_back(request, "star");
+    PlanRequest late = request;  // runtime-only: same fingerprint
+    late.options.deadline = std::chrono::steady_clock::now();
+    cases.emplace_back(late, "heuristic");
+    PlanRequest demand = request;
+    demand.options.demand = 10.0;
+    cases.emplace_back(demand, "heuristic");
+  }
+  Platform edited = big;
+  edited.set_link(399, 3.0);  // the last byte region differs
+  cases.emplace_back(PlanRequest(edited, kParams, dgemm_service(310)),
+                     "heuristic");
+  for (const auto& [x, x_planner] : cases) {
+    const std::string x_key = wire::request_key(x, x_planner);
+    EXPECT_EQ(x_key.size(), 16u);
+    for (const auto& [y, y_planner] : cases)
+      EXPECT_EQ(x_key == wire::request_key(y, y_planner),
+                wire::request_fingerprint(x, x_planner) ==
+                    wire::request_fingerprint(y, y_planner));
+  }
 }
 
 }  // namespace
