@@ -11,6 +11,7 @@
 #include "model/evaluate.hpp"
 #include "planner/planner.hpp"
 #include "planner/planning_service.hpp"
+#include "planner/registry.hpp"
 #include "platform/generator.hpp"
 #include "sim/simulator.hpp"
 #include "workload/dgemm.hpp"
@@ -142,8 +143,9 @@ void BM_WireEncode(benchmark::State& state, bool stream) {
 BENCHMARK_CAPTURE(BM_WireEncode, stream, true)->Arg(50)->Arg(125)->Arg(310);
 BENCHMARK_CAPTURE(BM_WireEncode, dom, false)->Arg(50)->Arg(125)->Arg(310);
 
-/// The plan-cache key: request_fingerprint's bytes streamed into two
-/// keyed SipHash-2-4 streams.
+/// The plan-cache key: request_fingerprint's writers walk the request
+/// into two keyed SipHash-2-4 streams as bits. Bytes are the
+/// fingerprint's length, the text the key no longer formats.
 void BM_RequestKey(benchmark::State& state) {
   const PlanRequest request =
       wire_request(static_cast<std::size_t>(state.range(0)));
@@ -155,6 +157,20 @@ void BM_RequestKey(benchmark::State& state) {
           wire::request_fingerprint(request, "heuristic").size()));
 }
 BENCHMARK(BM_RequestKey)->Arg(50)->Arg(125)->Arg(310);
+
+/// A warmed plan-cache hit through the async front door: submit() keys
+/// the request and answers it on this thread, wait() returns at once.
+void BM_ServiceHit(benchmark::State& state) {
+  const PlanRequest request =
+      wire_request(static_cast<std::size_t>(state.range(0)));
+  PlanningService service(1, PlannerRegistry::instance(), CacheConfig{8});
+  service.run(request, "heuristic");
+  for (auto _ : state) {
+    PlanTicket ticket = service.submit(request, "heuristic");
+    benchmark::DoNotOptimize(ticket.wait().cached);
+  }
+}
+BENCHMARK(BM_ServiceHit)->Arg(310);
 
 void BM_PlanHomogeneousOptimal(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "common/argparse.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
@@ -134,6 +136,18 @@ class JsonBenchWriter {
   std::string bench_;
   std::vector<Record> records_;
 };
+
+/// CPU time this process has used so far: every thread's user plus
+/// system time (getrusage), in ms.
+inline double process_cpu_ms() {
+  struct rusage usage;
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto ms = [](const struct timeval& t) {
+    return 1000.0 * static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) / 1000.0;
+  };
+  return ms(usage.ru_utime) + ms(usage.ru_stime);
+}
 
 /// Prints a section banner.
 inline void banner(const std::string& title) {

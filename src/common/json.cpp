@@ -80,9 +80,6 @@ void write_number(double value, std::string& out) {
 /// ("[[[[...") would overflow the stack of whatever is serving.
 constexpr std::size_t kMaxDepth = 192;
 
-/// Streaming mode hands the sink chunks of about this many bytes.
-constexpr std::size_t kChunkBytes = 4096;
-
 }  // namespace
 
 // ------------------------------------------------------------------ Value --
@@ -170,18 +167,11 @@ std::string Value::dump() const {
 
 // ----------------------------------------------------------------- Writer --
 
-Writer::Writer(ByteSink& sink) : out_(&buffer_), sink_(&sink) {
-  buffer_.reserve(2 * kChunkBytes);
-}
-
 void Writer::separate() {
   if (need_comma_) *out_ += ',';
 }
 
-void Writer::emitted() {
-  need_comma_ = true;
-  if (sink_ != nullptr && buffer_.size() >= kChunkBytes) flush();
-}
+void Writer::emitted() { need_comma_ = true; }
 
 Writer& Writer::begin_object() {
   separate();
@@ -292,12 +282,6 @@ Writer& Writer::value(const Value& v) {
       return end_object();
   }
   return *this;
-}
-
-void Writer::flush() {
-  if (sink_ == nullptr || buffer_.empty()) return;
-  sink_->write(buffer_);
-  buffer_.clear();
 }
 
 // ----------------------------------------------------------------- Reader --

@@ -113,32 +113,16 @@ class Value {
   Object object_;
 };
 
-/// Receives a streaming Writer's bytes, in order, in chunks.
-class ByteSink {
- public:
-  /// Consumes the next chunk of output.
-  virtual void write(std::string_view bytes) = 0;
-
- protected:
-  ~ByteSink() = default;
-};
-
 /// Streaming canonical writer: the one place JSON text is formatted.
 /// Calls mirror the document's structure — begin/end for containers,
 /// key() before each object member's value — and commas are inserted
 /// automatically. Output is compact, numbers are shortest round-trip,
 /// strings escape '"', '\\', \b \f \n \r \t and every other control byte
 /// as lower-case \u00xx; all other bytes (UTF-8 included) pass through.
-///
-/// A Writer either appends to a caller's string, or buffers and hands
-/// chunks to a ByteSink (flush() delivers the tail) — which is how a
-/// cache key hashes a canonical document without materialising it.
 class Writer {
  public:
   /// Appends to `out`.
   explicit Writer(std::string& out) : out_(&out) {}
-  /// Streams into `sink`; call flush() after the last value.
-  explicit Writer(ByteSink& sink);
 
   Writer(const Writer&) = delete;             ///< Non-copyable.
   Writer& operator=(const Writer&) = delete;  ///< Non-copyable.
@@ -161,17 +145,11 @@ class Writer {
   Writer& string(std::string_view s);   ///< Writes an escaped string.
   Writer& value(const Value& v);        ///< Writes a whole DOM value.
 
-  /// Streaming mode: hands every buffered byte to the sink. A no-op when
-  /// writing to a string.
-  void flush();
-
  private:
   void separate();  ///< Emits the comma owed before the next item.
-  void emitted();   ///< Marks an item complete; spills full chunks.
+  void emitted();   ///< Marks an item complete.
 
   std::string* out_;
-  std::string buffer_;  ///< Streaming mode's chunk buffer.
-  ByteSink* sink_ = nullptr;
   bool need_comma_ = false;
 };
 

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -78,17 +79,22 @@ bool receive_framed_line(int fd, std::string& buffer, std::string& line,
       std::chrono::steady_clock::now() +
       std::chrono::microseconds(
           static_cast<long long>(std::max(0.0, timeout_ms) * 1000.0));
+  // Bytes before `scanned` hold no newline: each byte is searched once,
+  // however many reads a long line takes.
+  std::size_t scanned = 0;
   for (;;) {
-    const std::size_t newline = buffer.find('\n');
+    const std::size_t newline = buffer.find('\n', scanned);
     if (newline != std::string::npos) {
       line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
       return true;
     }
+    scanned = buffer.size();
     if (!alive || fd < 0) return false;
-    const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now());
+    // Rounded up: a timeout reported before the deadline has passed
+    // would let the caller treat a hung worker's job as still in budget.
+    const auto remaining = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
     if (remaining.count() <= 0) return false;  // timeout: hung worker
     struct pollfd pfd;
     pfd.fd = fd;
@@ -146,53 +152,63 @@ class InProcessWorker final : public Worker {
   void kill() final { alive_ = false; }
 
  private:
+  /// Decodes `line` as the serve session does (io/serve.cpp): a plan line
+  /// straight from its bytes, and every line that decoder declines
+  /// through json::parse + wire::plan_line_from_json, whose error texts
+  /// and id echo are the session's.
   std::string answer(const std::string& line) const {
-    json::Value response = json::Value::object();
-    response.set("id", json::Value(nullptr));
+    std::string out;
+    json::Writer writer(out);
+    json::Value id;
+    std::optional<wire::PlanLine> decoded;
     try {
-      const json::Value doc = json::parse(line);
-      if (const json::Value* id = doc.find("id")) response.set("id", *id);
-      if (const json::Value* cmd = doc.find("cmd")) {
-        ADEPT_CHECK(cmd->as_string() == "stats",
-                    "unknown command '" + cmd->as_string() + "'");
-        response.set("ok", true);
-        response.set("stats", json::Value::object());
-        return response.dump();
+      decoded = wire::decode_plan_line(line);
+      if (!decoded.has_value()) {
+        const json::Value doc = json::parse(line);
+        if (const json::Value* found = doc.find("id")) id = *found;
+        if (const json::Value* cmd = doc.find("cmd")) {
+          ADEPT_CHECK(cmd->as_string() == "stats",
+                      "unknown command '" + cmd->as_string() + "'");
+          writer.begin_object().key("id").value(id).key("ok").boolean(true);
+          writer.key("stats").begin_object().end_object();
+          writer.end_object();
+          return out;
+        }
+        decoded = wire::plan_line_from_json(doc);
       }
-      PlannerRun run;
-      run.planner = "heuristic";
-      if (const json::Value* planner = doc.find("planner"))
-        run.planner = planner->as_string();
-      PlanRequest request = wire::request_from_json(doc);
-      if (const json::Value* budget = doc.find("budget_ms")) {
-        const double ms = budget->as_number();
-        ADEPT_CHECK(ms > 0.0 && ms <= 8.64e10,
-                    "budget_ms must be in (0, 8.64e10]");
-        request.options.deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(static_cast<long long>(ms * 1000.0));
-      }
-      const std::uint64_t evals_before = model::evaluations_on_this_thread();
-      const auto start = std::chrono::steady_clock::now();
-      try {
-        run.result = registry_.at(run.planner).plan(request);
-        run.ok = true;
-      } catch (const std::exception& e) {
-        run.error = e.what();
-        if (request.options.should_stop()) run.skipped = true;
-      }
-      run.wall_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-      run.evaluations = model::evaluations_on_this_thread() - evals_before;
-      response.set("ok", run.ok);
-      if (!run.ok) response.set("error", run.error);
-      response.set("run", wire::to_json(run));
     } catch (const std::exception& e) {
-      response.set("ok", false);
-      response.set("error", e.what());
+      writer.begin_object().key("id").value(id).key("ok").boolean(false);
+      writer.key("error").string(e.what()).end_object();
+      return out;
     }
-    return response.dump();
+    PlanRequest& request = decoded->request;
+    if (decoded->budget_ms.has_value())
+      request.options.deadline =
+          std::chrono::steady_clock::now() +
+          std::chrono::microseconds(
+              static_cast<long long>(*decoded->budget_ms * 1000.0));
+    PlannerRun run;
+    run.planner = decoded->planner;
+    const std::uint64_t evals_before = model::evaluations_on_this_thread();
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      run.result = registry_.at(run.planner).plan(request);
+      run.ok = true;
+    } catch (const std::exception& e) {
+      run.error = e.what();
+      if (request.options.should_stop()) run.skipped = true;
+    }
+    run.wall_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    run.evaluations = model::evaluations_on_this_thread() - evals_before;
+    writer.begin_object().key("id").value(decoded->id);
+    writer.key("ok").boolean(run.ok);
+    if (!run.ok) writer.key("error").string(run.error);
+    writer.key("run");
+    wire::write(writer, run);
+    writer.end_object();
+    return out;
   }
 
   const PlannerRegistry& registry_;

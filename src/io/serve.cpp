@@ -112,6 +112,12 @@ json::Value stats_to_json(const PlanningStats& stats) {
 /// (every interactive client, and the distributed tier's coordinator)
 /// would deadlock against a server that only flushed responses when more
 /// input arrived.
+///
+/// The reader never writes, even an answer that is ready as its line is
+/// admitted (a plan-cache hit that PlanningService::submit() answered on
+/// this thread, a refusal, an error): it goes through the queue like any
+/// other. So the reader never blocks on output, and a client that writes
+/// many requests before reading any answer is still served.
 class Session {
  public:
   /// Stdio mode: the session owns a private PlanningService.

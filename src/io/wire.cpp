@@ -1,7 +1,9 @@
 #include "io/wire.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <utility>
 
@@ -537,7 +539,13 @@ sim::ScenarioRecording recording_from_json(const json::Value& value) {
 
 namespace {
 
-void write_rate(json::Writer& out, RequestRate rate) {
+// The request's writers are templates on the emitter: a json::Writer
+// formats the canonical text, and request_key's KeyHasher hashes the
+// same walk as bits. What is plan-relevant, and how it is normalised,
+// is decided once, here.
+
+template <class Out>
+void write_rate(Out& out, RequestRate rate) {
   if (std::isinf(rate) && rate > 0.0) {
     out.string("unlimited");
   } else {
@@ -545,7 +553,8 @@ void write_rate(json::Writer& out, RequestRate rate) {
   }
 }
 
-void write(json::Writer& out, const ElementCosts& costs) {
+template <class Out>
+void write(Out& out, const ElementCosts& costs) {
   out.begin_object();
   out.key("wreq").number(costs.wreq);
   out.key("wfix").number(costs.wfix);
@@ -556,7 +565,8 @@ void write(json::Writer& out, const ElementCosts& costs) {
   out.end_object();
 }
 
-void write(json::Writer& out, const Platform& platform) {
+template <class Out>
+void write(Out& out, const Platform& platform) {
   out.begin_object();
   out.key("bandwidth").number(platform.bandwidth());
   out.key("nodes").begin_array();
@@ -571,7 +581,8 @@ void write(json::Writer& out, const Platform& platform) {
   out.end_object();
 }
 
-void write(json::Writer& out, const PlanOptions& options) {
+template <class Out>
+void write(Out& out, const PlanOptions& options) {
   out.begin_object();
   out.key("demand");
   write_rate(out, options.demand);
@@ -632,41 +643,8 @@ void write(json::Writer& out, const PlanResult& result) {
   out.end_object();
 }
 
-void write_fingerprint(json::Writer& out, const PlanRequest& request,
-                       std::string_view planner) {
-  out.begin_object();
-  out.key("planner").string(planner);
-  out.key("request");
-  wire::write(out, request);
-  out.end_object();
-}
-
-/// Feeds two SipHash streams, each under its own process key.
-class KeySink final : public json::ByteSink {
- public:
-  void write(std::string_view bytes) override {
-    first_.update(bytes);
-    second_.update(bytes);
-  }
-
-  std::string digest() const {
-    const std::uint64_t halves[] = {first_.digest(), second_.digest()};
-    std::string key(16, '\0');
-    for (int i = 0; i < 8; ++i) {
-      key[i] = static_cast<char>(halves[0] >> (8 * i));
-      key[8 + i] = static_cast<char>(halves[1] >> (8 * i));
-    }
-    return key;
-  }
-
- private:
-  SipHasher first_{process_sip_key(0)};
-  SipHasher second_{process_sip_key(1)};
-};
-
-}  // namespace
-
-void write_members(json::Writer& out, const PlanRequest& request) {
+template <class Out>
+void write_request_members(Out& out, const PlanRequest& request) {
   ADEPT_CHECK(request.platform != nullptr, "PlanRequest has no platform");
   out.key("platform");
   write(out, *request.platform);
@@ -682,6 +660,101 @@ void write_members(json::Writer& out, const PlanRequest& request) {
   out.end_object();
   out.key("options");
   write(out, request.options);
+}
+
+template <class Out>
+void write_fingerprint(Out& out, const PlanRequest& request,
+                       std::string_view planner) {
+  out.begin_object();
+  out.key("planner").string(planner);
+  out.key("request").begin_object();
+  write_request_members(out, request);
+  out.end_object();
+  out.end_object();
+}
+
+/// An emitter that hashes the fingerprint's walk into two SipHash-2-4
+/// streams (each under its own process key) instead of formatting it.
+/// Every value and bracket goes in as a tag byte and a fixed-size or
+/// length-prefixed payload, so the stream decodes back to the walk:
+/// strings length-prefixed, numbers as their bit patterns. Member names
+/// are left out — the writers fix each one from the values before it.
+/// Two finite doubles print alike exactly when their bits are equal. A
+/// small buffer makes a value cost a copy rather than two update() calls.
+class KeyHasher {
+ public:
+  KeyHasher& begin_object() { return tag('{'); }
+  KeyHasher& end_object() { return tag('}'); }
+  KeyHasher& begin_array() { return tag('['); }
+  KeyHasher& end_array() { return tag(']'); }
+  KeyHasher& key(std::string_view) { return *this; }
+  KeyHasher& boolean(bool b) { return tag(b ? 't' : 'f'); }
+  /// Throws on NaN or infinity exactly as json::Writer::number does.
+  KeyHasher& number(double n) {
+    if (!std::isfinite(n)) {
+      std::string unused;
+      json::Writer(unused).number(n);
+    }
+    return word('n', std::bit_cast<std::uint64_t>(n));
+  }
+  KeyHasher& index(std::size_t n) { return word('i', n); }
+  KeyHasher& string(std::string_view s) {
+    word('s', s.size());
+    bytes(s.data(), s.size());
+    return *this;
+  }
+
+  std::string digest() {
+    flush();
+    const std::uint64_t halves[] = {first_.digest(), second_.digest()};
+    std::string key(16, '\0');
+    for (int i = 0; i < 8; ++i) {
+      key[i] = static_cast<char>(halves[0] >> (8 * i));
+      key[8 + i] = static_cast<char>(halves[1] >> (8 * i));
+    }
+    return key;
+  }
+
+ private:
+  KeyHasher& tag(char t) {
+    bytes(&t, 1);
+    return *this;
+  }
+  KeyHasher& word(char t, std::uint64_t value) {
+    char field[9];
+    field[0] = t;
+    std::memcpy(field + 1, &value, sizeof value);
+    bytes(field, sizeof field);
+    return *this;
+  }
+  void bytes(const char* data, std::size_t size) {
+    if (used_ + size > sizeof buffer_) {
+      flush();
+      if (size > sizeof buffer_) {
+        first_.update({data, size});
+        second_.update({data, size});
+        return;
+      }
+    }
+    std::memcpy(buffer_ + used_, data, size);
+    used_ += size;
+  }
+  void flush() {
+    first_.update({buffer_, used_});
+    second_.update({buffer_, used_});
+    used_ = 0;
+  }
+
+  SipHasher first_{process_sip_key(0)};
+  SipHasher second_{process_sip_key(1)};
+  char buffer_[1024];
+  std::size_t used_ = 0;
+};
+
+}  // namespace
+
+void write_members(json::Writer& out, const PlanRequest& request) {
+  write_request_members(out, request);
 }
 
 void write(json::Writer& out, const PlanRequest& request) {
@@ -736,11 +809,9 @@ std::string request_fingerprint(const PlanRequest& request,
 }
 
 std::string request_key(const PlanRequest& request, std::string_view planner) {
-  KeySink sink;
-  json::Writer out(sink);
-  write_fingerprint(out, request, planner);
-  out.flush();
-  return sink.digest();
+  KeyHasher key;
+  write_fingerprint(key, request, planner);
+  return key.digest();
 }
 
 // ------------------------------------------------------ streaming readers --

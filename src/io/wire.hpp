@@ -12,7 +12,8 @@
 /// Conventions:
 ///   - serializers always emit keys in one fixed order, so dump() of a
 ///     serialized value is a canonical byte string — request_fingerprint()
-///     keys the PlanningService's plan cache on exactly that string;
+///     is that string for a request, and the plan cache's key
+///     (request_key) has exactly its equalities;
 ///   - unlimited demand is encoded as the string "unlimited" (JSON has no
 ///     infinity); any finite demand is a plain number;
 ///   - PlanOptions' runtime-only fields (deadline, cancel token, pool) do
@@ -30,8 +31,8 @@
 /// paths without a DOM: write() emits exactly to_json(x).dump()'s bytes
 /// through a json::Writer, decode_plan_line() / decode_run_answer() read
 /// straight from a line's bytes and accept exactly what their DOM twins
-/// accept, and request_key() hashes the fingerprint's bytes as they are
-/// written.
+/// accept, and request_key() hashes the fingerprint writers' walk as
+/// bits, formatting no text.
 
 #include <cstddef>
 #include <optional>
@@ -121,12 +122,19 @@ sim::ScenarioRecording recording_from_json(const json::Value& value);
 std::string request_fingerprint(const PlanRequest& request,
                                 const std::string& planner);
 
-/// The 16-byte cache key of request_fingerprint(request, planner): two
-/// SipHash-2-4 streams under per-process random keys
-/// (common/siphash.hpp), fed the fingerprint's bytes as the writer
-/// produces them — no DOM and no fingerprint string is built. Keys are
-/// equal when fingerprints are, and a client cannot aim a collision
-/// without the process's keys. They never leave the process.
+/// The 16-byte cache key of (request, planner): request_fingerprint's own
+/// writers walk the request, but into two SipHash-2-4 streams under
+/// per-process random keys (common/siphash.hpp) instead of a text writer.
+/// Each value and bracket goes in as a tag byte and bits — strings
+/// length-prefixed, numbers as their bit patterns — and member names are
+/// left out, so no text is formatted. Two finite doubles print alike
+/// exactly when their bits are equal, so keys are equal exactly when
+/// fingerprints are, with one exception that only makes the key finer:
+/// the fingerprint prints a size_t above 2^53 through a double, which can
+/// merge two values the key keeps apart. Throws as request_fingerprint
+/// does on a null platform or a non-finite number. A client cannot aim a
+/// collision without the process's keys, and keys never leave the
+/// process.
 std::string request_key(const PlanRequest& request, std::string_view planner);
 
 // ------------------------------------------------------ streaming codecs --

@@ -101,21 +101,32 @@ std::size_t PlanningService::thread_count() const {
 
 // -------------------------------------------------------------- plan cache --
 
+void PlanningService::book_hit(PlannerRun& run, const PlanResult& result,
+                               bool coalesced) {
+  run.ok = true;
+  run.cached = true;
+  run.result = result;
+  c_cache_hits_->inc();
+  if (coalesced) c_cache_coalesced_->inc();
+  planner_metrics(run.planner).cache_hits->inc();
+}
+
+bool PlanningService::take_cached(const std::string& key, PlannerRun& run,
+                                  bool coalesced) {
+  const auto found = cache_map_.find(key);
+  if (found == cache_map_.end()) return false;
+  cache_lru_.splice(cache_lru_.begin(), cache_lru_, found->second);
+  book_hit(run, found->second->result, coalesced);
+  return true;
+}
+
 bool PlanningService::cache_wait_or_begin(const std::string& key,
                                           PlannerRun& run,
                                           const PlanOptions& options) {
   std::unique_lock<std::mutex> lock(cache_mutex_);
   bool coalesced = false;
   for (;;) {
-    if (const auto found = cache_map_.find(key); found != cache_map_.end()) {
-      cache_lru_.splice(cache_lru_.begin(), cache_lru_, found->second);
-      run.ok = true;
-      run.cached = true;
-      run.result = found->second->result;
-      c_cache_hits_->inc();
-      if (coalesced) c_cache_coalesced_->inc();
-      return true;
-    }
+    if (take_cached(key, run, coalesced)) return true;
     if (!cache_coalesce_) {
       // Coalescing disabled (CacheConfig::coalesce = false): every miss
       // plans for itself. No inflight entry is created; cache_finish
@@ -147,11 +158,7 @@ bool PlanningService::cache_wait_or_begin(const std::string& key,
       inflight_cv_.wait_for(lock, std::chrono::milliseconds(10));
     }
     if (entry->ok) {
-      run.ok = true;
-      run.cached = true;
-      run.result = entry->result;
-      c_cache_hits_->inc();
-      c_cache_coalesced_->inc();
+      book_hit(run, entry->result, /*coalesced=*/true);
       return true;
     }
     // The leader failed; its failure is not this job's failure. Loop:
@@ -228,7 +235,8 @@ CacheConfig PlanningService::cache_config() const {
 // --------------------------------------------------------------- execution --
 
 PlannerRun PlanningService::execute(const PlanRequest& request,
-                                    const std::string& planner) {
+                                    const std::string& planner,
+                                    std::string cache_key) {
   PlannerRun run;
   run.planner = planner;
   if (request.options.should_stop()) {
@@ -239,23 +247,21 @@ PlannerRun PlanningService::execute(const PlanRequest& request,
   }
   const std::uint64_t evals_before = model::evaluations_on_this_thread();
   const auto start = std::chrono::steady_clock::now();
-  std::string cache_key;
+  bool leads = false;
   try {
-    // Consult the plan cache before spending planner time. The
-    // fingerprint covers platform content + params + service +
-    // plan-relevant options, so a hit is guaranteed to be the same
-    // planning problem. Serialization is inside the try: an invalid
-    // request (null platform, NaN demand) must land in run.error like
-    // any planner failure — never escape into a pool worker.
+    // Consult the plan cache before spending planner time. The key
+    // covers platform content + params + service + plan-relevant
+    // options, so a hit is guaranteed to be the same planning problem.
+    // Keying is inside the try: an invalid request (null platform, NaN
+    // demand) must land in run.error like any planner failure — never
+    // escape into a pool worker.
     if (cache_capacity() != 0) {
-      cache_key = wire::request_key(request, planner);
+      if (cache_key.empty()) cache_key = wire::request_key(request, planner);
       // Answered from the cache, coalesced onto an identical in-flight
       // job, or stopped while waiting; otherwise this job is the leader
       // for the key and must publish its outcome via cache_finish below.
-      if (cache_wait_or_begin(cache_key, run, request.options)) {
-        if (run.cached) planner_metrics(planner).cache_hits->inc();
-        return run;
-      }
+      if (cache_wait_or_begin(cache_key, run, request.options)) return run;
+      leads = true;
     }
     // Offer the service's pool for the planner's internal parallelism
     // (the sharded planner's leaves). Safe when this job itself runs on a
@@ -286,7 +292,7 @@ PlannerRun PlanningService::execute(const PlanRequest& request,
   run.wall_ms =
       std::chrono::duration<double, std::milli>(end - start).count();
   run.evaluations = model::evaluations_on_this_thread() - evals_before;
-  if (!cache_key.empty()) cache_finish(cache_key, run);
+  if (leads) cache_finish(cache_key, run);
   // Per-planner latency covers runs that actually planned (cache hits
   // return above; skipped runs never exercised this planner).
   if (!run.skipped) planner_metrics(planner).latency->record(run.wall_ms);
@@ -374,9 +380,40 @@ PlanTicket PlanningService::submit(PlanRequest request, std::string planner) {
   auto state = std::make_shared<detail::TicketState<PlannerRun>>(
       request.options.cancel);
   request.options.cancel = &state->cancel;
+  // A finished plan-cache entry answers here, on the caller's thread: one
+  // key and one copy, no pool job and no wake-up. A late or cancelled
+  // request goes to the pool, which reports it skipped; so does a key a
+  // leader is still planning, which coalesces there. On a miss the key
+  // travels with the job.
+  std::string key;
+  if (!request.options.should_stop() && cache_capacity() != 0) {
+    try {
+      key = wire::request_key(request, planner);
+    } catch (const std::exception&) {
+      // An invalid request: its job reports the error in run.error.
+    }
+    PlannerRun run;
+    run.planner = planner;
+    bool hit = false;
+    if (!key.empty()) {
+      std::lock_guard<std::mutex> lock(cache_mutex_);
+      hit = take_cached(key, run, /*coalesced=*/false);
+    }
+    if (hit) {
+      // The pool path's ledger: the job, its zero wall time, and a zero
+      // queue wait, so every histogram still counts stats().jobs.
+      h_queue_wait_ms_->record(0.0);
+      record(run);
+      state->result = std::move(run);
+      state->started = true;
+      state->done = true;
+      return PlanTicket(std::move(state));
+    }
+  }
   pending_jobs_.fetch_add(1, std::memory_order_relaxed);
   pool().submit([this, state, request = std::move(request),
-                 planner = std::move(planner)] {
+                 planner = std::move(planner),
+                 key = std::move(key)]() mutable {
     {
       std::lock_guard<std::mutex> lock(state->mutex);
       state->started = true;
@@ -385,7 +422,7 @@ PlanTicket PlanningService::submit(PlanRequest request, std::string planner) {
                                  std::chrono::steady_clock::now() -
                                  state->submitted)
                                  .count());
-    PlannerRun run = execute(request, planner);
+    PlannerRun run = execute(request, planner, std::move(key));
     record(run);
     {
       std::lock_guard<std::mutex> lock(state->mutex);

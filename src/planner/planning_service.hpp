@@ -13,21 +13,35 @@
 ///   - async submissions  (submit()/submit_portfolio() enqueue a job and
 ///                         return a ticket immediately; the caller wait()s,
 ///                         poll()s or cancel()s at leisure — the service
-///                         front door that `adept serve` drives).
+///                         front door that `adept serve` drives). A
+///                         submit() that finds a finished plan-cache entry
+///                         answers on the caller's thread instead, with a
+///                         ticket that is already done.
 /// A stats sink accumulates job counts, failures, wall time, model
 /// evaluations and plan-cache traffic across the service's lifetime.
 ///
-/// Plan cache: an optional bounded LRU keyed by the canonical wire-format
-/// fingerprint of (planner, request) — see wire::request_fingerprint —
-/// hashed as the canonical writer streams it (wire::request_key: two
-/// SipHash-2-4 streams under per-process random keys, so no fingerprint
-/// string is built and a client cannot aim a key collision).
+/// Plan cache: an optional bounded LRU keyed by wire::request_key — the
+/// canonical wire-format fingerprint of (planner, request)
+/// (wire::request_fingerprint), walked by its own writers as bits into
+/// two SipHash-2-4 streams under per-process random keys, so no text is
+/// formatted and a client cannot aim a key collision. Keys are equal exactly when
+/// fingerprints are (see request_key for the one, finer, exception).
 /// The key covers the full platform *content*, the middleware parameters,
 /// the service and every plan-relevant option, so a platform edited in
 /// place (add_node / set_link) fingerprints differently and stale entries
 /// simply age out; runtime-only options (deadline, cancel token, pool) do
 /// not affect the key. Only successful runs are cached. Capacity 0 (the
 /// default) disables caching entirely.
+///
+/// Hits answered at submit: submit() keys the request on the caller's
+/// thread, and a finished entry answers it there — one key and one copy
+/// of the cached result, no pool job, no thread hop. The ticket comes
+/// back done. The run is booked exactly as a pool hit is: one job, a
+/// cache hit, zero wall time and a zero queue wait. A cancelled or late
+/// request, a key a leader is still planning (it coalesces on the pool),
+/// and a miss (its job reuses the key) all take the pool path. run(),
+/// run_batch() and portfolios key and probe on the thread that executes
+/// them.
 ///
 /// Identical *concurrent* requests are single-flighted: the first job to
 /// miss on a key becomes the leader and plans; followers that arrive
@@ -284,6 +298,9 @@ class PlanningService {
   /// Asynchronous front door: enqueues the job and returns immediately.
   /// The request is taken by value — give it an owning platform
   /// (std::shared_ptr) when the call site may return before the job runs.
+  /// With the plan cache on, the request is keyed here first, and a
+  /// finished cache entry answers it on this thread: the ticket returns
+  /// done (see the file comment). Never waits on another job.
   PlanTicket submit(PlanRequest request, std::string planner);
 
   /// As submit(), for a whole portfolio. The ticket's cancel() stops the
@@ -327,8 +344,18 @@ class PlanningService {
   std::size_t pending_jobs() const;
 
  private:
-  PlannerRun execute(const PlanRequest& request, const std::string& planner);
+  /// One run, through the plan cache when it is on; `cache_key` is the
+  /// request's key when the caller has already computed it.
+  PlannerRun execute(const PlanRequest& request, const std::string& planner,
+                     std::string cache_key = {});
   void record(const PlannerRun& run);
+  /// Makes `run` a cache hit on `result` and counts it: the one place a
+  /// hit is booked, whichever path found it.
+  void book_hit(PlannerRun& run, const PlanResult& result, bool coalesced);
+  /// Books the finished entry for `key` into `run` as a hit and moves it
+  /// to the LRU front; false when there is none. Caller holds
+  /// cache_mutex_.
+  bool take_cached(const std::string& key, PlannerRun& run, bool coalesced);
   /// Single-flight cache front: true (and fills `run`) when the job is
   /// answered — by a cached entry, by a coalesced in-flight result, or
   /// by the waiter's own cancellation/deadline. False makes the caller

@@ -19,10 +19,10 @@
 /// actually forwards (demand, trace switch). Runtime-only knobs
 /// (deadline, cancel token, pool — and this cache itself) are excluded,
 /// so re-asking under a fresh budget hits. The key is the same
-/// wire::request_key the plan cache uses: the fingerprint's bytes are
-/// streamed from the canonical writer into two keyed SipHash-2-4 streams,
-/// so no fingerprint string is built per probe and per-entry key storage
-/// is 16 bytes however large the shard is.
+/// wire::request_key the plan cache uses: the fingerprint's writers walk
+/// the request as bits into two keyed SipHash-2-4 streams, so no text is
+/// formatted per probe and per-entry key storage is 16 bytes however
+/// large the shard is.
 ///
 /// Values are the leaf PlanResult in *sub-platform-local* node ids (the
 /// form the leaf planner produces before the sharded core remaps to

@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -32,6 +33,8 @@
 #include "dist/transport.hpp"
 #include "dist/worker_pool.hpp"
 #include "dist_test_util.hpp"
+#include "io/serve.hpp"
+#include "io/wire.hpp"
 #include "planner/planner.hpp"
 #include "planner/shard_cache.hpp"
 #include "planner/sharded.hpp"
@@ -59,6 +62,44 @@ TEST(Dist, InProcessFleetMatchesShardedForAnyWorkerCount) {
     const PlanResult distributed = coordinator.plan(make_request(platform));
     expect_identical(distributed, sharded,
                      std::to_string(workers) + " workers");
+  }
+}
+
+TEST(Dist, InProcessWorkerAnswersBadLinesWithServesErrors) {
+  // The in-process transport decodes with serve's decoders, so every line
+  // serve refuses gets serve's error text and id echo from it too — one
+  // bad budget, an unknown planner, both a bad budget and a bad planner
+  // (the budget is reported first), and a line that is not JSON.
+  const std::string platform = wire::to_json(multi_cluster(12)).dump();
+  const std::vector<std::string> lines = {
+      R"({"id":1,"platform":)" + platform +
+          R"(,"service":"dgemm-310","budget_ms":-1})",
+      R"({"id":2,"planner":"no-such","platform":)" + platform +
+          R"(,"service":"dgemm-310"})",
+      R"({"id":3,"planner":7,"platform":)" + platform +
+          R"(,"service":"dgemm-310","budget_ms":1e11})",
+      "not json",
+  };
+  std::stringstream in;
+  std::stringstream out;
+  for (const std::string& line : lines) in << line << "\n";
+  io::ServeConfig config;
+  config.threads = 1;
+  io::serve_session(in, out, config);
+  InProcessTransport transport;
+  const std::unique_ptr<Worker> worker = transport.spawn();
+  for (const std::string& line : lines) {
+    std::string served;
+    ASSERT_TRUE(std::getline(out, served));
+    std::string answered;
+    ASSERT_TRUE(worker->send(line));
+    ASSERT_TRUE(worker->receive(answered, 0.0));
+    const json::Value serve_doc = json::parse(served);
+    const json::Value worker_doc = json::parse(answered);
+    EXPECT_FALSE(worker_doc.at("ok").as_bool()) << answered;
+    EXPECT_EQ(worker_doc.at("id").dump(), serve_doc.at("id").dump()) << line;
+    EXPECT_EQ(worker_doc.at("error").as_string(),
+              serve_doc.at("error").as_string());
   }
 }
 

@@ -219,6 +219,27 @@ TEST(DistSocket, DribblingWriterCannotRestartTheReceiveTimeout) {
           .count();
   EXPECT_GE(elapsed_ms, 250.0);
   EXPECT_LT(elapsed_ms, 10000.0);
+
+  // A line that takes hundreds of reads arrives whole, and so do two
+  // lines that arrive in one read, each exactly once and in order.
+  const std::string long_line(std::size_t{1} << 20 | 123, 'y');
+  FakeTcpServer long_writer([&long_line](int fd) {
+    const std::string framed = long_line + "\n";
+    for (std::size_t at = 0; at < framed.size(); at += 4096)
+      if (!write_all(fd, framed.substr(at, 4096))) return;
+    write_all(fd, "first\nsecond\n");
+    std::string request;
+    read_line(fd, request);  // hold the connection until the client closes
+  });
+  SocketTransport long_transport({long_writer.endpoint()});
+  std::unique_ptr<Worker> reader = long_transport.spawn();
+  ASSERT_TRUE(reader->receive(line, 10000.0));
+  EXPECT_EQ(line.size(), long_line.size());
+  EXPECT_EQ(line, long_line);
+  ASSERT_TRUE(reader->receive(line, 10000.0));
+  EXPECT_EQ(line, "first");
+  ASSERT_TRUE(reader->receive(line, 10000.0));
+  EXPECT_EQ(line, "second");
 }
 
 TEST(DistSocket, HungSocketWorkerCannotOutliveTheCallersDeadline) {
@@ -247,6 +268,30 @@ TEST(DistSocket, HungSocketWorkerCannotOutliveTheCallersDeadline) {
           std::chrono::steady_clock::now() - start)
           .count();
   EXPECT_LT(elapsed_ms, 20000.0);
+}
+
+TEST(DistSocket, AReceiveTimeoutNeverEndsBeforeItsBudget) {
+  // A silent peer: a receive times out only once its whole budget has
+  // passed, sub-millisecond remainders included. Giving up early let the
+  // pool plan a hung worker's job locally while it was still in budget,
+  // so the deadline test above could see a plan instead of an error.
+  FakeTcpServer server([](int fd) {
+    std::string request;
+    while (read_line(fd, request)) {
+    }
+  });
+  SocketTransport transport({server.endpoint()});
+  std::unique_ptr<Worker> worker = transport.spawn();
+  std::string line;
+  for (const double budget_ms : {0.2, 0.7, 1.3, 2.6}) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(worker->receive(line, budget_ms));
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    EXPECT_GE(elapsed_ms, budget_ms);
+  }
 }
 
 TEST(DistSocket, KilledSocketWorkerReportsDeadNotHung) {

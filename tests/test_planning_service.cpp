@@ -8,6 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <limits>
+#include <memory>
+#include <mutex>
+#include <thread>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -463,6 +469,228 @@ TEST(PlanningService_, AcceptsAnExternalMetricsRegistry) {
   EXPECT_EQ(shared.snapshot().histograms.at("service.plan.latency_ms").count,
             2u);
   EXPECT_EQ(first.stats().jobs, 2u);  // the view reads the shared registry
+}
+
+// ------------------------------------------------- hits answered at submit --
+
+/// Holds its worker until the test opens the gate (or 20 s pass), then
+/// plans homogeneously: the deterministic way to keep a service's only
+/// thread busy for exactly as long as a test needs.
+class GatePlanner final : public IPlanner {
+ public:
+  GatePlanner() {
+    info_.name = "test-gate";
+    info_.summary = "waits for the test's gate, then plans homogeneously";
+    info_.caps.shard_aware = true;  // never in a portfolio
+  }
+  const PlannerInfo& info() const override { return info_; }
+  PlanResult plan(const PlanRequest& request) const override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      ++entered_;
+      cv_.notify_all();
+      cv_.wait_for(lock, std::chrono::seconds(20), [this] { return open_; });
+    }
+    return PlannerRegistry::instance().at("homogeneous").plan(request);
+  }
+
+  void close() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = false;
+    entered_ = 0;
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// Blocks until `count` runs have entered plan().
+  void wait_entered(std::size_t count) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait_for(lock, std::chrono::seconds(20),
+                 [&] { return entered_ >= count; });
+  }
+
+ private:
+  PlannerInfo info_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  bool open_ = true;
+  mutable std::size_t entered_ = 0;
+};
+
+GatePlanner& gate() {
+  static GatePlanner* const planner = [] {
+    auto owned = std::make_unique<GatePlanner>();
+    GatePlanner* raw = owned.get();
+    PlannerRegistry::instance().add(std::move(owned));
+    return raw;
+  }();
+  return *planner;
+}
+
+PlanRequest cached_request(const Platform& platform) {
+  return PlanRequest(platform, kParams, dgemm_service(310));
+}
+
+TEST(HitsAtSubmit, ACachedRequestIsDoneBeforeTheOnlyWorkerFrees) {
+  const Platform platform = gen::homogeneous(14, 1000.0, kB);
+  PlanningService service(1, PlannerRegistry::instance(), CacheConfig{8});
+  const PlannerRun first = service.run(cached_request(platform), "heuristic");
+  ASSERT_TRUE(first.ok);
+  gate().close();
+  PlanTicket busy = service.submit(
+      PlanRequest(platform, kParams, dgemm_service(100)), "test-gate");
+  gate().wait_entered(1);
+  const PlanTicket hit = service.submit(cached_request(platform), "heuristic");
+  EXPECT_TRUE(hit.poll());  // answered inside submit(): the worker is held
+  EXPECT_TRUE(hit.progress().started);
+  EXPECT_FALSE(busy.poll());
+  EXPECT_EQ(service.pending_jobs(), 1u);  // only the gated job
+  gate().open();
+  const PlannerRun& run = hit.wait();
+  EXPECT_TRUE(run.ok);
+  EXPECT_TRUE(run.cached);
+  EXPECT_EQ(run.planner, "heuristic");
+  EXPECT_EQ(run.wall_ms, 0.0);
+  EXPECT_EQ(run.evaluations, 0u);
+  expect_identical(run.result, first.result, "hit answered at submit");
+  EXPECT_TRUE(busy.wait().ok);
+}
+
+TEST(HitsAtSubmit, TheLedgerMatchesThePoolPaths) {
+  // `inline_service` answers the repeat inside submit() while a gated
+  // job holds its only worker; `pool_service` queues both copies behind
+  // a gated job, so its repeat finds the finished entry on a pool
+  // worker. Every counter and histogram count must agree.
+  const Platform platform = gen::homogeneous(14, 1000.0, kB);
+  const PlanRequest gated(platform, kParams, dgemm_service(100));
+  PlanningService inline_service(1, PlannerRegistry::instance(),
+                                 CacheConfig{8});
+  EXPECT_FALSE(
+      inline_service.submit(cached_request(platform), "heuristic").wait().cached);
+  gate().close();
+  const PlanTicket inline_busy = inline_service.submit(gated, "test-gate");
+  gate().wait_entered(1);
+  const PlanTicket inline_hit =
+      inline_service.submit(cached_request(platform), "heuristic");
+  EXPECT_TRUE(inline_hit.poll());
+  gate().open();
+  EXPECT_TRUE(inline_busy.wait().ok);
+
+  PlanningService pool_service(1, PlannerRegistry::instance(), CacheConfig{8});
+  gate().close();
+  const PlanTicket busy = pool_service.submit(gated, "test-gate");
+  const PlanTicket miss =
+      pool_service.submit(cached_request(platform), "heuristic");
+  const PlanTicket pool_hit =
+      pool_service.submit(cached_request(platform), "heuristic");
+  EXPECT_FALSE(pool_hit.poll());  // queued behind the gated job
+  gate().open();
+  EXPECT_TRUE(busy.wait().ok);
+  EXPECT_FALSE(miss.wait().cached);
+  EXPECT_TRUE(pool_hit.wait().cached);
+  expect_identical(inline_hit.wait().result, pool_hit.wait().result,
+                   "inline vs pool hit");
+
+  const auto ledger = [](const PlanningService& service) {
+    const PlanningStats stats = service.stats();
+    const obs::RegistrySnapshot snapshot = service.metrics().snapshot();
+    const auto count = [&](const std::string& name) {
+      return snapshot.histograms.at(name).count;
+    };
+    return std::vector<std::uint64_t>{
+        stats.jobs,
+        stats.failures,
+        stats.cancelled,
+        stats.evaluations,
+        stats.cache_hits,
+        stats.cache_misses,
+        stats.cache_coalesced,
+        snapshot.counters.at("service.planner.heuristic.cache_hits"),
+        count("service.plan.latency_ms"),
+        count("service.queue_wait_ms"),
+        count("service.planner.heuristic.latency_ms"),
+        count("service.planner.test-gate.latency_ms")};
+  };
+  EXPECT_EQ(ledger(inline_service), ledger(pool_service));
+  EXPECT_EQ(inline_service.stats().jobs, 3u);
+  EXPECT_EQ(inline_service.stats().cache_hits, 1u);
+  // The queue-wait histogram still counts every job.
+  EXPECT_EQ(ledger(inline_service)[9], inline_service.stats().jobs);
+}
+
+TEST(HitsAtSubmit, AnIdenticalRequestWhoseLeaderIsPlanningCoalesces) {
+  const Platform platform = gen::homogeneous(14, 1000.0, kB);
+  const PlanRequest request(platform, kParams, dgemm_service(100));
+  PlanningService service(2, PlannerRegistry::instance(), CacheConfig{8});
+  gate().close();
+  const PlanTicket leader = service.submit(request, "test-gate");
+  gate().wait_entered(1);  // the leader holds the in-flight entry
+  const PlanTicket follower = service.submit(request, "test-gate");
+  // Let the second worker pick the follower up and reach the in-flight
+  // entry before the leader may finish.
+  for (int i = 0; i < 2000 && !follower.progress().started; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(follower.poll());
+  gate().open();
+  EXPECT_FALSE(leader.wait().cached);
+  const PlannerRun& run = follower.wait();
+  EXPECT_TRUE(run.cached);
+  expect_identical(run.result, leader.wait().result, "coalesced follower");
+  const PlanningStats stats = service.stats();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.cache_coalesced, 1u);
+  EXPECT_EQ(service.metrics()
+                .snapshot()
+                .histograms.at("service.planner.test-gate.latency_ms")
+                .count,
+            1u);  // planned once
+}
+
+TEST(HitsAtSubmit, CancelledOrLateCachedRequestsReportSkipped) {
+  const Platform platform = gen::homogeneous(14, 1000.0, kB);
+  PlanningService service(1, PlannerRegistry::instance(), CacheConfig{8});
+  ASSERT_TRUE(service.run(cached_request(platform), "heuristic").ok);
+  CancelToken token;
+  token.cancel();
+  PlanRequest cancelled = cached_request(platform);
+  cancelled.options.cancel = &token;
+  PlanRequest late = cached_request(platform);
+  late.options.deadline =
+      std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  const PlanTicket cancelled_ticket = service.submit(cancelled, "heuristic");
+  const PlanTicket late_ticket = service.submit(late, "heuristic");
+  const PlannerRun& cancelled_run = cancelled_ticket.wait();
+  EXPECT_TRUE(cancelled_run.skipped);
+  EXPECT_EQ(cancelled_run.error, "cancelled");
+  const PlannerRun& late_run = late_ticket.wait();
+  EXPECT_TRUE(late_run.skipped);
+  EXPECT_EQ(late_run.error, "deadline exceeded");
+  EXPECT_EQ(service.stats().cancelled, 2u);
+  EXPECT_EQ(service.stats().cache_hits, 0u);
+}
+
+TEST(HitsAtSubmit, NonFiniteNumbersFailTheRunThroughRunAndSubmit) {
+  // Keying a NaN demand throws on the caller's thread inside submit();
+  // the request must still reach its job and fail there, in run.error.
+  const Platform platform = gen::homogeneous(14, 1000.0, kB);
+  PlanningService service(1, PlannerRegistry::instance(), CacheConfig{8});
+  PlanRequest request = cached_request(platform);
+  request.options.demand = std::numeric_limits<double>::quiet_NaN();
+  const PlannerRun direct = service.run(request, "heuristic");
+  const PlanTicket ticket = service.submit(request, "heuristic");
+  const PlannerRun async = ticket.wait();
+  for (const PlannerRun* run : {&direct, &async}) {
+    EXPECT_FALSE(run->ok);
+    EXPECT_FALSE(run->skipped);
+    EXPECT_NE(run->error.find("non-finite"), std::string::npos) << run->error;
+  }
+  EXPECT_EQ(service.stats().failures, 2u);
 }
 
 // -------------------------------------------------- seed reproducibility --

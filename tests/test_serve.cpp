@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <istream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -568,6 +571,8 @@ TEST(Serve, EachAnswerIsOneWriteOfTheLineAndItsNewline) {
   std::stringstream in;
   in << R"({"id":1,"planner":"star","platform":)" << platform
      << R"(,"service":"dgemm-100"})" << "\n"
+     << R"({"id":1,"planner":"star","platform":)" << platform
+     << R"(,"service":"dgemm-100"})" << "\n"
      << "not json\n"
      << R"({"id":2,"planner":"portfolio","platform":)" << platform
      << R"(,"service":"dgemm-100"})" << "\n"
@@ -581,7 +586,7 @@ TEST(Serve, EachAnswerIsOneWriteOfTheLineAndItsNewline) {
   io::serve_session(in, out, config);
   const std::size_t lines =
       static_cast<std::size_t>(std::count(sink.text.begin(), sink.text.end(), '\n'));
-  EXPECT_EQ(lines, 6u);
+  EXPECT_EQ(lines, 7u);
   EXPECT_EQ(sink.puts, lines);
   EXPECT_EQ(sink.overflows, 0u);
   EXPECT_EQ(sink.text.back(), '\n');
@@ -638,6 +643,8 @@ TEST(Serve, StreamedAnswersAreTheDomEnvelopeByteForByte) {
                platform + R"(,"service":"dgemm-310"})",
            R"({"id":900000,"planner":"heuristic","platform":)" + platform +
                R"(,"service":"dgemm-310"})",
+           R"({"id":900001,"planner":"heuristic","platform":)" + platform +
+               R"(,"service":"dgemm-310"})",
            R"({"id":[1,{"k":null}],"planner":"no-such","platform":)" +
                platform + R"(,"service":"dgemm-310"})",
            R"({"id":4,"planner":"portfolio","platform":)" + platform +
@@ -646,7 +653,7 @@ TEST(Serve, StreamedAnswersAreTheDomEnvelopeByteForByte) {
                R"(,"service":"dgemm-310","budget_ms":0})",
            "{\"id\":6,"},
           config),
-      6u);
+      7u);
   // Overloaded refusals and degraded answers, behind a sleeper that
   // holds the only admission slot.
   config.cache = {};
@@ -695,6 +702,275 @@ TEST(Serve, LinesTheFastDecoderDeclinesKeepTheDomErrors) {
   EXPECT_NE(responses[3].at("error").as_string().find(
                 "duplicate object key 'power'"),
             std::string::npos);
+}
+
+// ------------------------------------------- which thread writes answers --
+
+/// Records which thread hands each write to the stream; a reader can wait
+/// for the n-th answer line.
+class ThreadRecordingSink : public std::streambuf {
+ public:
+  struct Write {
+    std::thread::id thread;
+    std::string text;
+  };
+
+  std::vector<Write> writes() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return writes_;
+  }
+  std::size_t overflows() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return overflows_;
+  }
+  /// Blocks until `count` answer lines have been written (20 s cap).
+  void wait_for_lines(std::size_t count) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait_for(lock, std::chrono::seconds(20),
+                 [&] { return lines_ >= count; });
+  }
+
+ protected:
+  std::streamsize xsputn(const char* data, std::streamsize count) override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      writes_.push_back(
+          {std::this_thread::get_id(),
+           std::string(data, static_cast<std::size_t>(count))});
+      lines_ += static_cast<std::size_t>(std::count(data, data + count, '\n'));
+    }
+    cv_.notify_all();
+    return count;
+  }
+  int overflow(int ch) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++overflows_;
+    return ch;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<Write> writes_;
+  std::size_t lines_ = 0;
+  std::size_t overflows_ = 0;
+};
+
+/// Session input that hands out line i only once the sink holds
+/// `after[i]` answers, then waits `settle` so that the writer thread is
+/// idle, with nothing queued, when the line arrives.
+class GatedInput : public std::streambuf {
+ public:
+  GatedInput(std::vector<std::string> lines, std::vector<std::size_t> after,
+             ThreadRecordingSink& sink,
+             std::chrono::milliseconds settle = std::chrono::milliseconds(0))
+      : lines_(std::move(lines)), after_(std::move(after)), sink_(sink),
+        settle_(settle) {}
+
+ protected:
+  int_type underflow() override {
+    if (next_ == lines_.size()) return traits_type::eof();
+    if (after_[next_] > 0) {
+      sink_.wait_for_lines(after_[next_]);
+      std::this_thread::sleep_for(settle_);
+    }
+    current_ = lines_[next_++] + "\n";
+    setg(current_.data(), current_.data(), current_.data() + current_.size());
+    return traits_type::to_int_type(current_[0]);
+  }
+
+ private:
+  std::vector<std::string> lines_;
+  std::vector<std::size_t> after_;
+  ThreadRecordingSink& sink_;
+  std::chrono::milliseconds settle_;
+  std::size_t next_ = 0;
+  std::string current_;
+};
+
+/// Runs a session over gated input on this thread; returns the writes.
+std::vector<ThreadRecordingSink::Write> run_gated_session(
+    const std::vector<std::string>& lines, const std::vector<std::size_t>& after,
+    const io::ServeConfig& config,
+    std::chrono::milliseconds settle = std::chrono::milliseconds(0)) {
+  ThreadRecordingSink sink;
+  GatedInput input(lines, after, sink, settle);
+  std::istream in(&input);
+  std::ostream out(&sink);
+  io::serve_session(in, out, config);
+  EXPECT_EQ(sink.overflows(), 0u);
+  std::vector<ThreadRecordingSink::Write> writes = sink.writes();
+  for (const ThreadRecordingSink::Write& write : writes) {  // one per answer
+    EXPECT_EQ(std::count(write.text.begin(), write.text.end(), '\n'), 1);
+    EXPECT_EQ(write.text.back(), '\n');
+  }
+  return writes;
+}
+
+TEST(Serve, AHitAnsweredAtSubmitIsWrittenByTheWriter) {
+  // The repeat arrives once the first answer is out, so submit() answers
+  // it from the cache on the reading thread; the writer thread still
+  // writes it — one write, the DOM envelope, the cached plan.
+  const std::string platform = platform_json(67);
+  const std::string request = R"({"planner":"heuristic","platform":)" +
+                              platform + R"(,"service":"dgemm-310"})";
+  io::ServeConfig config;
+  config.threads = 2;
+  config.cache = CacheConfig{8, 0, true};
+  const std::vector<ThreadRecordingSink::Write> writes = run_gated_session(
+      {R"({"id":1,)" + request.substr(1), R"({"id":2,)" + request.substr(1),
+       R"({"cmd":"metrics"})"},
+      {0, 1, 0}, config, std::chrono::milliseconds(100));
+  ASSERT_EQ(writes.size(), 3u);
+  for (const ThreadRecordingSink::Write& write : writes)
+    EXPECT_NE(write.thread, std::this_thread::get_id()) << write.text;
+  const std::string first = writes[0].text.substr(0, writes[0].text.size() - 1);
+  const std::string hit = writes[1].text.substr(0, writes[1].text.size() - 1);
+  const json::Value hit_doc = json::parse(hit);
+  EXPECT_EQ(dom_envelope(hit_doc).dump(), hit);
+  EXPECT_TRUE(hit_doc.at("run").at("cached").as_bool());
+  EXPECT_EQ(hit_doc.at("run").at("result").dump(),
+            json::parse(first).at("run").at("result").dump());
+  // The ledger counts the hit like any job.
+  const json::Value metrics = json::parse(writes[2].text).at("metrics");
+  EXPECT_EQ(metrics.at("counters").at("service.cache.hits").as_number(), 1.0);
+  EXPECT_EQ(metrics.at("counters").at("serve.answered").as_number(), 2.0);
+  const json::Value& histograms = metrics.at("histograms");
+  EXPECT_EQ(histograms.at("service.queue_wait_ms").at("count").as_number(),
+            2.0);
+  EXPECT_EQ(histograms.at("serve.request_ms").at("count").as_number(), 2.0);
+}
+
+TEST(Serve, AHitQueuedBehindASlowMissIsAnsweredAfterIt) {
+  // The repeat is a hit answered inside submit(), but the sleeper's
+  // answer is still owed ahead of it: the hit waits its turn in the
+  // queue, and the writer thread writes both, in order.
+  const std::string platform = platform_json(69);
+  io::ServeConfig config;
+  config.threads = 2;
+  config.cache = CacheConfig{8, 0, true};
+  const std::vector<ThreadRecordingSink::Write> writes = run_gated_session(
+      {R"({"id":"warm","planner":"star","platform":)" + platform +
+           R"(,"service":"dgemm-100"})",
+       R"({"id":"slow","planner":"test-sleeper","platform":)" + platform +
+           R"(,"service":"dgemm-310"})",
+       R"({"id":"hit","planner":"star","platform":)" + platform +
+           R"(,"service":"dgemm-100"})"},
+      {0, 1, 0}, config);
+  ASSERT_EQ(writes.size(), 3u);
+  const std::vector<std::string> order = {"warm", "slow", "hit"};
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const json::Value doc = json::parse(writes[i].text);
+    EXPECT_EQ(doc.at("id").as_string(), order[i]);
+    EXPECT_TRUE(doc.at("ok").as_bool()) << writes[i].text;
+    EXPECT_NE(writes[i].thread, std::this_thread::get_id()) << order[i];
+  }
+  EXPECT_TRUE(json::parse(writes[2].text).at("run").at("cached").as_bool());
+}
+
+TEST(Serve, WithThePlanCacheOffTheReaderWritesNoAnswer) {
+  // No job is resolved inside submit() without a plan cache, so every
+  // plan answer goes through the writer thread — even when the writer
+  // is idle and nothing is queued as the line arrives.
+  const std::string platform = platform_json(71);
+  const std::string star = R"({"id":1,"planner":"star","platform":)" +
+                           platform + R"(,"service":"dgemm-100"})";
+  const std::string heuristic = R"({"id":2,"planner":"heuristic","platform":)" +
+                                platform + R"(,"service":"dgemm-310"})";
+  io::ServeConfig config;
+  config.threads = 2;
+  config.cache = CacheConfig{0, 256, true};
+  const std::vector<ThreadRecordingSink::Write> writes = run_gated_session(
+      {star, star, heuristic, heuristic}, {0, 1, 2, 3}, config,
+      std::chrono::milliseconds(20));
+  ASSERT_EQ(writes.size(), 4u);
+  for (const ThreadRecordingSink::Write& write : writes) {
+    EXPECT_NE(write.thread, std::this_thread::get_id()) << write.text;
+    EXPECT_FALSE(json::parse(write.text).at("run").at("cached").as_bool());
+  }
+}
+
+TEST(Serve, AClientThatWritesEverythingBeforeReadingIsServed) {
+  // Every write blocks until the session has read all of its input, as
+  // a client that sends every request before reading any answer leaves
+  // the server's output pipe full. The reading thread must reach the end
+  // of the input anyway: it never writes an answer itself — not an
+  // error with nothing ahead of it, not a hit answered inside submit().
+  class HeldSink : public std::streambuf {
+   public:
+    void release() {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        released_ = true;
+      }
+      cv_.notify_all();
+    }
+    bool timed_out() const {
+      std::lock_guard<std::mutex> lock(mutex_);
+      return timed_out_;
+    }
+    std::string text() const {
+      std::lock_guard<std::mutex> lock(mutex_);
+      return text_;
+    }
+
+   protected:
+    std::streamsize xsputn(const char* data, std::streamsize count) override {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (!cv_.wait_for(lock, std::chrono::seconds(20),
+                        [this] { return released_; }))
+        timed_out_ = true;
+      text_.append(data, static_cast<std::size_t>(count));
+      return count;
+    }
+
+   private:
+    mutable std::mutex mutex_;
+    std::condition_variable cv_;
+    bool released_ = false;
+    bool timed_out_ = false;
+    std::string text_;
+  };
+  /// Hands out the whole text, then releases the sink at end of input.
+  class ReleasingInput : public std::streambuf {
+   public:
+    ReleasingInput(std::string text, HeldSink& sink)
+        : text_(std::move(text)), sink_(sink) {}
+
+   protected:
+    int_type underflow() override {
+      if (served_) {
+        sink_.release();
+        return traits_type::eof();
+      }
+      served_ = true;
+      setg(text_.data(), text_.data(), text_.data() + text_.size());
+      return traits_type::to_int_type(text_[0]);
+    }
+
+   private:
+    std::string text_;
+    HeldSink& sink_;
+    bool served_ = false;
+  };
+
+  const std::string platform = platform_json(73);
+  const std::string request = R"({"planner":"star","platform":)" + platform +
+                              R"(,"service":"dgemm-100"})";
+  io::ServeConfig config;
+  config.threads = 2;
+  config.cache = CacheConfig{8, 0, true};
+  HeldSink sink;
+  ReleasingInput input("not json\n" + request + "\n" + request + "\n" +
+                           request + "\n",
+                       sink);
+  std::istream in(&input);
+  std::ostream out(&sink);
+  io::serve_session(in, out, config);
+  EXPECT_FALSE(sink.timed_out());
+  const std::string text = sink.text();
+  ASSERT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
+  EXPECT_NE(text.find(R"("cached":true)"), std::string::npos);
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <random>
@@ -504,27 +506,6 @@ PlanRequest varied_request(const Platform& platform, std::mt19937& rng) {
   return request;
 }
 
-TEST(Json, StreamingWriterHandsTheSinkTheStringWritersBytes) {
-  // A document far over one chunk, cut into sink writes at chunk
-  // boundaries, reassembles to exactly what dump() writes.
-  struct Collect final : json::ByteSink {
-    std::string text;
-    std::size_t writes = 0;
-    void write(std::string_view bytes) override {
-      text += bytes;
-      ++writes;
-    }
-  } sink;
-  std::mt19937 rng(41);
-  json::Value doc = json::Value::array();
-  while (doc.dump().size() < 20000) doc.push_back(random_value(rng, 4));
-  json::Writer writer(sink);
-  writer.value(doc);
-  writer.flush();
-  EXPECT_EQ(sink.text, doc.dump());
-  EXPECT_GT(sink.writes, 1u);
-}
-
 TEST(Json, WriterEscapesControlBytesAsLowerCaseUnicode) {
   EXPECT_EQ(json::Value(std::string("\x01\x1f\x7f\"\\\b\f\n\r\t", 10)).dump(),
             "\"\\u0001\\u001f\x7f\\\"\\\\\\b\\f\\n\\r\\t\"");
@@ -898,14 +879,165 @@ TEST(Wire, RequestKeysAreEqualExactlyWhenFingerprintsAre) {
   edited.set_link(399, 3.0);  // the last byte region differs
   cases.emplace_back(PlanRequest(edited, kParams, dgemm_service(310)),
                      "heuristic");
-  for (const auto& [x, x_planner] : cases) {
-    const std::string x_key = wire::request_key(x, x_planner);
-    EXPECT_EQ(x_key.size(), 16u);
-    for (const auto& [y, y_planner] : cases)
-      EXPECT_EQ(x_key == wire::request_key(y, y_planner),
-                wire::request_fingerprint(x, x_planner) ==
-                    wire::request_fingerprint(y, y_planner));
+
+  // Neighbouring and signed-zero values of every number the key hashes
+  // as bits, names whose bytes shift across a field boundary, escaped
+  // and UTF-8 text, and each plan-relevant option.
+  const auto up = [](double x) {
+    return std::nextafter(x, std::numeric_limits<double>::infinity());
+  };
+  const auto owned = [](std::vector<NodeSpec> nodes, MbitRate bandwidth) {
+    return std::make_shared<const Platform>(std::move(nodes), bandwidth);
+  };
+  const auto on = [&](std::shared_ptr<const Platform> platform) {
+    return PlanRequest(std::move(platform), kParams, dgemm_service(310));
+  };
+  const PlanRequest base = on(owned(a.nodes(), a.bandwidth()));
+  cases.emplace_back(on(owned(a.nodes(), up(a.bandwidth()))), "heuristic");
+  const auto with_node = [&](auto edit) {
+    std::vector<NodeSpec> nodes = a.nodes();
+    edit(nodes[3]);
+    return on(owned(std::move(nodes), a.bandwidth()));
+  };
+  cases.emplace_back(with_node([&](NodeSpec& n) { n.power = up(n.power); }),
+                     "heuristic");
+  for (const double link : {0.0, -0.0, 5.0, up(5.0)})
+    cases.emplace_back(with_node([&](NodeSpec& n) { n.link = link; }),
+                       "heuristic");
+  for (const double wapp : {up(dgemm_service(310).wapp), 0.0, -0.0}) {
+    PlanRequest request = base;
+    request.service.wapp = wapp;
+    cases.emplace_back(request, "heuristic");
   }
+  for (ElementCosts MiddlewareParams::*row :
+       {&MiddlewareParams::agent, &MiddlewareParams::server}) {
+    for (double ElementCosts::*field :
+         {&ElementCosts::wreq, &ElementCosts::wfix, &ElementCosts::wsel,
+          &ElementCosts::wpre, &ElementCosts::sreq, &ElementCosts::srep}) {
+      const double value = kParams.*row.*field;
+      for (const double edit : {up(value), 0.0, -0.0}) {
+        PlanRequest request = base;
+        request.params.*row.*field = edit;
+        cases.emplace_back(request, "heuristic");
+      }
+    }
+  }
+  for (const double demand : {10.0, up(10.0), 0.0, -0.0,
+                              std::numeric_limits<double>::max(),
+                              kUnlimitedDemand}) {
+    PlanRequest request = base;
+    request.options.demand = demand;
+    cases.emplace_back(request, "heuristic");
+  }
+  const auto pair_of = [&](const char* first, const char* second) {
+    return on(owned({{first, 500.0}, {second, 700.0}}, kB));
+  };
+  cases.emplace_back(pair_of("ab", "c"), "heuristic");
+  cases.emplace_back(pair_of("a", "bc"), "heuristic");
+  cases.emplace_back(pair_of("a\"b", "c"), "heuristic");
+  cases.emplace_back(pair_of("a\\b", "c"), "heuristic");
+  cases.emplace_back(pair_of("a\\", "\"b"), "heuristic");
+  cases.emplace_back(pair_of("\xc3\xa9", "c"), "heuristic");  // é
+  cases.emplace_back(pair_of("\x01", "c"), "heuristic");
+  // Names that carry the hashed bytes of the tokens between them:
+  // without a length prefix, {"a"+500+"b", 700}, {"c", 900} would hash
+  // as {"a", 500}, {"b"+700+"c", 900}.
+  const auto field_bytes = [](double power) {
+    std::string bytes(8, '\0');
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(power);
+    std::memcpy(bytes.data(), &bits, 8);
+    // The power, this node's close, the next node's open, its name's tag.
+    return 'n' + bytes + "}{s";
+  };
+  cases.emplace_back(
+      on(owned({{"a" + field_bytes(500.0) + "b", 700.0}, {"c", 900.0}}, kB)),
+      "heuristic");
+  cases.emplace_back(
+      on(owned({{"a", 500.0}, {"b" + field_bytes(700.0) + "c", 900.0}}, kB)),
+      "heuristic");
+  for (const char* planner :
+       {"he\"uristic", "he\\uristic", "pl\xc3\xa4nner", "heuristic\n"})
+    cases.emplace_back(base, planner);
+  for (const NodeSet& excluded :
+       {NodeSet{1}, NodeSet{2}, NodeSet{1, 2}, NodeSet{12}}) {
+    PlanRequest request = base;
+    request.options.excluded = excluded;
+    cases.emplace_back(request, "heuristic");
+  }
+  for (const std::size_t degree : {3, 4}) {
+    PlanRequest request = base;
+    request.options.degree = degree;
+    cases.emplace_back(request, "heuristic");
+  }
+  for (const std::size_t shards : {2, 3}) {
+    PlanRequest request = base;
+    request.options.shards = shards;
+    cases.emplace_back(request, "heuristic");
+  }
+  PlanRequest quiet = base;
+  quiet.options.verbose_trace = false;
+  cases.emplace_back(quiet, "heuristic");
+  // Equal fingerprints from different values: runtime-only options, and
+  // every request after a trip over the wire.
+  CancelToken token;
+  PlanRequest runtime_only = base;
+  runtime_only.options.cancel = &token;
+  runtime_only.options.deadline = std::chrono::steady_clock::now();
+  cases.emplace_back(runtime_only, "heuristic");
+  const std::size_t before_wire = cases.size();
+  for (std::size_t i = 0; i < before_wire; ++i) {
+    if (cases[i].second != "heuristic") continue;
+    cases.emplace_back(
+        wire::request_from_json(json::parse(wire::to_json(cases[i].first).dump())),
+        "heuristic");
+  }
+
+  std::vector<std::string> keys;
+  std::vector<std::string> fingerprints;
+  for (const auto& [request, planner] : cases) {
+    keys.push_back(wire::request_key(request, planner));
+    fingerprints.push_back(wire::request_fingerprint(request, planner));
+    EXPECT_EQ(keys.back().size(), 16u);
+  }
+  for (std::size_t x = 0; x < cases.size(); ++x)
+    for (std::size_t y = 0; y < cases.size(); ++y)
+      EXPECT_EQ(keys[x] == keys[y], fingerprints[x] == fingerprints[y])
+          << fingerprints[x] << "\n" << fingerprints[y];
+
+  // The one documented way the key is finer: above 2^53 the fingerprint
+  // prints a size_t through a double, merging neighbours the key keeps
+  // apart. The wire cannot carry such a pair (it reads numbers as
+  // doubles), so keys still equal fingerprints on every wire value.
+  PlanRequest huge = base;
+  huge.options.degree = std::size_t{1} << 53;
+  PlanRequest huger = huge;
+  huger.options.degree += 1;
+  EXPECT_EQ(wire::request_fingerprint(huge, "heuristic"),
+            wire::request_fingerprint(huger, "heuristic"));
+  EXPECT_NE(wire::request_key(huge, "heuristic"),
+            wire::request_key(huger, "heuristic"));
+
+  // Keying fails exactly where the fingerprint does, with its text.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+    PlanRequest request = base;
+    request.options.demand = bad;
+    std::string fingerprint_error;
+    std::string key_error;
+    try {
+      wire::request_fingerprint(request, "heuristic");
+    } catch (const Error& e) {
+      fingerprint_error = e.what();
+    }
+    try {
+      wire::request_key(request, "heuristic");
+    } catch (const Error& e) {
+      key_error = e.what();
+    }
+    EXPECT_FALSE(key_error.empty());
+    EXPECT_EQ(key_error, fingerprint_error);
+  }
+  EXPECT_THROW(wire::request_key(PlanRequest{}, "heuristic"), Error);
 }
 
 }  // namespace
