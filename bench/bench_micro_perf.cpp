@@ -93,55 +93,46 @@ PlanRequest wire_request(std::size_t n) {
       kParams, dgemm_service(310));
 }
 
-/// serve's request decode: straight from bytes (`stream`), or the DOM
-/// path it falls back to (json::parse + wire::plan_line_from_json).
-void BM_WireDecode(benchmark::State& state, bool stream) {
+/// serve's request decode, straight from the line's bytes.
+void BM_WireDecode(benchmark::State& state) {
   const PlanRequest request =
       wire_request(static_cast<std::size_t>(state.range(0)));
   json::Value doc = wire::to_json(request);
   doc.set("id", 1);
   doc.set("planner", "heuristic");
   const std::string line = doc.dump();
-  for (auto _ : state) {
-    if (stream) {
-      benchmark::DoNotOptimize(wire::decode_plan_line(line));
-    } else {
-      benchmark::DoNotOptimize(wire::plan_line_from_json(json::parse(line)));
-    }
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(wire::decode_plan_line(line));
   state.SetBytesProcessed(state.iterations() *
                           static_cast<long long>(line.size()));
 }
-BENCHMARK_CAPTURE(BM_WireDecode, stream, true)->Arg(50)->Arg(125)->Arg(310);
-BENCHMARK_CAPTURE(BM_WireDecode, dom, false)->Arg(50)->Arg(125)->Arg(310);
+BENCHMARK(BM_WireDecode)
+    ->Name("BM_WireDecode/stream")
+    ->Arg(50)
+    ->Arg(125)
+    ->Arg(310);
 
-/// serve's answer encode for a heuristic plan's run: the streaming
-/// writer (`stream`) or the DOM build + dump.
-void BM_WireEncode(benchmark::State& state, bool stream) {
+/// serve's answer encode for a heuristic plan's run, through the
+/// streaming writer.
+void BM_WireEncode(benchmark::State& state) {
   const PlanRequest request =
       wire_request(static_cast<std::size_t>(state.range(0)));
   PlanningService service(1);
   const PlannerRun run = service.run(request, "heuristic");
   for (auto _ : state) {
     std::string line;
-    if (stream) {
-      json::Writer out(line);
-      out.begin_object().key("id").index(1).key("ok").boolean(run.ok);
-      out.key("run");
-      wire::write(out, run);
-      out.end_object();
-    } else {
-      json::Value response = json::Value::object();
-      response.set("id", 1);
-      response.set("ok", run.ok);
-      response.set("run", wire::to_json(run));
-      line = response.dump();
-    }
+    json::Writer out(line);
+    out.begin_object().key("id").index(1).key("ok").boolean(run.ok);
+    out.key("run");
+    wire::write(out, run);
+    out.end_object();
     benchmark::DoNotOptimize(line);
   }
 }
-BENCHMARK_CAPTURE(BM_WireEncode, stream, true)->Arg(50)->Arg(125)->Arg(310);
-BENCHMARK_CAPTURE(BM_WireEncode, dom, false)->Arg(50)->Arg(125)->Arg(310);
+BENCHMARK(BM_WireEncode)
+    ->Name("BM_WireEncode/stream")
+    ->Arg(50)
+    ->Arg(125)
+    ->Arg(310);
 
 /// The plan-cache key: request_fingerprint's writers walk the request
 /// into two keyed SipHash-2-4 streams as bits. Bytes are the

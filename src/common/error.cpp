@@ -4,11 +4,15 @@
 
 namespace adept::detail {
 
-void fail_check(const char* expr, const char* file, int line,
-                const std::string& message) {
+void fail_check(const char* expr, const std::string& message) {
+  throw Error(message.empty() ? std::string(expr) : message);
+}
+
+void fail_assert(const char* expr, const char* file, int line,
+                 const std::string& message) {
   std::ostringstream os;
-  os << "check failed: " << expr << " at " << file << ':' << line;
-  if (!message.empty()) os << " — " << message;
+  os << "check failed: " << expr << " at " << file << ':' << line
+     << " — internal: " << message;
   throw Error(os.str());
 }
 

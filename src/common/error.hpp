@@ -3,9 +3,9 @@
 /// \brief Error type and checked-invariant macros used across ADePT.
 ///
 /// ADePT reports user-facing failures (bad input files, infeasible plans)
-/// via adept::Error and programming errors via ADEPT_ASSERT, which aborts
-/// with a source location in debug and throws in release so callers can
-/// still surface a diagnostic.
+/// via adept::Error and programming errors via ADEPT_ASSERT, whose
+/// adept::Error also names the failed expression and its source location
+/// so callers can still surface a diagnostic.
 
 #include <stdexcept>
 #include <string>
@@ -20,22 +20,34 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-/// Builds the message for a failed check and throws adept::Error.
-[[noreturn]] void fail_check(const char* expr, const char* file, int line,
-                             const std::string& message);
+/// Throws adept::Error carrying `message`, or `expr` when it is empty.
+[[noreturn]] void fail_check(const char* expr, const std::string& message);
+/// Throws adept::Error naming the expression, its source location and
+/// `message`.
+[[noreturn]] void fail_assert(const char* expr, const char* file, int line,
+                              const std::string& message);
 }  // namespace detail
 
 }  // namespace adept
 
 /// Validates a user-facing precondition; throws adept::Error on failure.
-/// `msg` is a std::string (or convertible) appended to the diagnostic.
+/// The error's text is `msg` (a std::string or convertible) alone — it
+/// reaches clients verbatim, e.g. as a serve answer's "error" — or the
+/// expression when `msg` is empty.
 #define ADEPT_CHECK(expr, msg)                                              \
   do {                                                                      \
     if (!(expr)) {                                                          \
-      ::adept::detail::fail_check(#expr, __FILE__, __LINE__, (msg));        \
+      ::adept::detail::fail_check(#expr, (msg));                            \
     }                                                                       \
   } while (false)
 
-/// Internal invariant; same behaviour as ADEPT_CHECK but documents that a
-/// failure indicates a bug in ADePT rather than bad input.
-#define ADEPT_ASSERT(expr, msg) ADEPT_CHECK(expr, std::string("internal: ") + (msg))
+/// Internal invariant: a failure indicates a bug in ADePT rather than bad
+/// input, so the thrown adept::Error also names the expression and its
+/// source location ("check failed: <expr> at <file>:<line> — internal:
+/// <msg>").
+#define ADEPT_ASSERT(expr, msg)                                             \
+  do {                                                                      \
+    if (!(expr)) {                                                          \
+      ::adept::detail::fail_assert(#expr, __FILE__, __LINE__, (msg));       \
+    }                                                                       \
+  } while (false)

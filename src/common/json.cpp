@@ -29,8 +29,10 @@ const char* type_name(Value::Type type) {
 }
 
 /// as_index's domain: a non-negative integer a double holds exactly.
-bool is_index(double n) {
-  return n >= 0.0 && std::floor(n) == n && n <= 9.007199254740992e15;
+std::size_t to_index(double n) {
+  ADEPT_CHECK(n >= 0.0 && std::floor(n) == n && n <= 9.007199254740992e15,
+              "JSON number is not a non-negative integer index");
+  return static_cast<std::size_t>(n);
 }
 
 void write_escaped(std::string_view s, std::string& out) {
@@ -109,11 +111,7 @@ const Value::Object& Value::as_object() const {
   return object_;
 }
 
-std::size_t Value::as_index() const {
-  const double n = as_number();
-  ADEPT_CHECK(is_index(n), "JSON number is not a non-negative integer index");
-  return static_cast<std::size_t>(n);
-}
+std::size_t Value::as_index() const { return to_index(as_number()); }
 
 void Value::push_back(Value item) {
   if (type_ != Type::Array) type_error("array", type_);
@@ -342,8 +340,15 @@ Value::Type Reader::peek_unchecked() {
   }
 }
 
+// Each typed read wants one kind of value. A value of another kind
+// throws the DOM accessors' type error, with peek_unchecked() naming its
+// kind; a malformed token of the wanted kind fails to parse. number()
+// and string() decide which on read_number's and read_string's failure
+// paths, so a value of the wanted kind costs no extra test.
+
 void Reader::null() {
   peek();
+  if (current() != 'n') type_error("null", peek_unchecked());
   if (!consume_literal("null")) fail("bad literal");
 }
 
@@ -351,6 +356,8 @@ bool Reader::boolean() {
   peek();
   if (current() == 't' && consume_literal("true")) return true;
   if (current() == 'f' && consume_literal("false")) return false;
+  if (current() != 't' && current() != 'f')
+    type_error("bool", peek_unchecked());
   fail("bad literal");
 }
 
@@ -359,11 +366,7 @@ double Reader::number() {
   return read_number();
 }
 
-std::size_t Reader::index() {
-  const double n = number();
-  if (!is_index(n)) fail("number is not a non-negative integer index");
-  return static_cast<std::size_t>(n);
-}
+std::size_t Reader::index() { return to_index(number()); }
 
 std::string_view Reader::string() {
   peek();
@@ -380,6 +383,8 @@ double Reader::read_number() {
   if (!eof() && current() == '-') ++pos_;
   if (!digit()) {
     pos_ = start;
+    const Value::Type got = peek_unchecked();
+    if (got != Value::Type::Number) type_error("number", got);
     fail("malformed number");
   }
   if (current() == '0') {
@@ -436,7 +441,8 @@ double Reader::read_number() {
 }
 
 std::string_view Reader::read_string() {
-  expect('"');
+  if (current() != '"') type_error("string", peek_unchecked());
+  ++pos_;
   // Fast path: a string without escapes is a view into the input.
   const std::size_t start = pos_;
   while (!eof()) {
@@ -528,7 +534,8 @@ void Reader::enter() {
 }
 
 void Reader::begin_array() {
-  if (peek() != Value::Type::Array) expect('[');
+  peek();
+  if (current() != '[') type_error("array", peek_unchecked());
   enter();
 }
 
@@ -551,7 +558,8 @@ bool Reader::next_item() {
 }
 
 void Reader::begin_object() {
-  if (peek() != Value::Type::Object) expect('{');
+  peek();
+  if (current() != '{') type_error("object", peek_unchecked());
   enter();
 }
 

@@ -153,10 +153,13 @@ class Writer {
   bool need_comma_ = false;
 };
 
-/// Strict pull reader over one JSON document. Each read consumes one
-/// value of the named kind and throws adept::Error with a 1-based
-/// line:column otherwise. Containers are walked with begin_*() and then
-/// next_item() / next_key() until they return false:
+/// Strict pull reader over one JSON document. Each typed read consumes
+/// one value of the named kind. A value of another kind throws the DOM
+/// accessors' own adept::Error ("JSON value is string, expected
+/// number"), index() as_index()'s, and malformed input a parse error with
+/// a 1-based line:column — so a decoder over the reader fails with the
+/// text a walk over json::parse's DOM would. Containers are walked with
+/// begin_*() and then next_item() / next_key() until they return false:
 ///
 ///   reader.begin_object();
 ///   std::string_view key;
@@ -174,7 +177,8 @@ class Reader {
   void null();        ///< Reads null.
   bool boolean();     ///< Reads true or false.
   double number();    ///< Reads a number.
-  /// Reads a number that must be a non-negative integer (as_index rules).
+  /// Reads a number that must be a non-negative integer (as_index rules
+  /// and error).
   std::size_t index();
   /// Reads a string, unescaped. The view is valid until the next read.
   std::string_view string();

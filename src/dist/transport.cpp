@@ -10,7 +10,6 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -70,9 +69,10 @@ bool send_framed_line(int fd, const std::string& line, bool& alive) {
 /// deadline for the whole receive: every retry — poll() slices, EINTR on
 /// poll() or read(), partial-line reads from a dribbling writer —
 /// re-checks this instant; nothing restarts the budget, so a receive(t)
-/// returns within ~t no matter how the bytes arrive. EOF and read errors
-/// clear `alive`; a timeout leaves it set (the pool decides the peer is
-/// hung and kills it).
+/// returns within ~t no matter how the bytes arrive. EOF, read errors and
+/// a line past kMaxLineBytes clear `alive` (the last also releases the
+/// buffer); a timeout leaves it set (the pool decides the peer is hung
+/// and kills it).
 bool receive_framed_line(int fd, std::string& buffer, std::string& line,
                          double timeout_ms, bool& alive) {
   const auto deadline =
@@ -90,6 +90,11 @@ bool receive_framed_line(int fd, std::string& buffer, std::string& line,
       return true;
     }
     scanned = buffer.size();
+    if (buffer.size() > kMaxLineBytes) {
+      alive = false;
+      std::string().swap(buffer);
+      return false;
+    }
     if (!alive || fd < 0) return false;
     // Rounded up: a timeout reported before the deadline has passed
     // would let the caller treat a hung worker's job as still in budget.
@@ -152,43 +157,39 @@ class InProcessWorker final : public Worker {
   void kill() final { alive_ = false; }
 
  private:
-  /// Decodes `line` as the serve session does (io/serve.cpp): a plan line
-  /// straight from its bytes, and every line that decoder declines
-  /// through json::parse + wire::plan_line_from_json, whose error texts
-  /// and id echo are the session's.
+  /// Decodes `line` through serve's own error path
+  /// (wire::read_request_line), so every line serve refuses gets serve's
+  /// error text and id echo here too.
   std::string answer(const std::string& line) const {
     std::string out;
     json::Writer writer(out);
-    json::Value id;
-    std::optional<wire::PlanLine> decoded;
-    try {
-      decoded = wire::decode_plan_line(line);
-      if (!decoded.has_value()) {
-        const json::Value doc = json::parse(line);
-        if (const json::Value* found = doc.find("id")) id = *found;
-        if (const json::Value* cmd = doc.find("cmd")) {
-          ADEPT_CHECK(cmd->as_string() == "stats",
-                      "unknown command '" + cmd->as_string() + "'");
-          writer.begin_object().key("id").value(id).key("ok").boolean(true);
-          writer.key("stats").begin_object().end_object();
-          writer.end_object();
-          return out;
-        }
-        decoded = wire::plan_line_from_json(doc);
+    wire::RequestLine read = wire::read_request_line(line);
+    if (read.kind == wire::RequestLine::Kind::Control) {
+      // The one control line a coordinator sends is the health check's
+      // "stats"; any other is refused as serve refuses it, with a null id.
+      try {
+        const std::string& name = read.document.at("cmd").as_string();
+        ADEPT_CHECK(name == "stats", "unknown command '" + name + "'");
+        return R"({"ok":true,"stats":{}})";
+      } catch (const Error& e) {
+        read.error = e.what();
       }
-    } catch (const std::exception& e) {
-      writer.begin_object().key("id").value(id).key("ok").boolean(false);
-      writer.key("error").string(e.what()).end_object();
+    }
+    if (read.kind != wire::RequestLine::Kind::Plan) {
+      writer.begin_object().key("id").value(read.plan.id);
+      writer.key("ok").boolean(false).key("error").string(read.error);
+      writer.end_object();
       return out;
     }
-    PlanRequest& request = decoded->request;
-    if (decoded->budget_ms.has_value())
+    wire::PlanLine& decoded = read.plan;
+    PlanRequest& request = decoded.request;
+    if (decoded.budget_ms.has_value())
       request.options.deadline =
           std::chrono::steady_clock::now() +
           std::chrono::microseconds(
-              static_cast<long long>(*decoded->budget_ms * 1000.0));
+              static_cast<long long>(*decoded.budget_ms * 1000.0));
     PlannerRun run;
-    run.planner = decoded->planner;
+    run.planner = decoded.planner;
     const std::uint64_t evals_before = model::evaluations_on_this_thread();
     const auto start = std::chrono::steady_clock::now();
     try {
@@ -202,7 +203,7 @@ class InProcessWorker final : public Worker {
                       std::chrono::steady_clock::now() - start)
                       .count();
     run.evaluations = model::evaluations_on_this_thread() - evals_before;
-    writer.begin_object().key("id").value(decoded->id);
+    writer.begin_object().key("id").value(decoded.id);
     writer.key("ok").boolean(run.ok);
     if (!run.ok) writer.key("error").string(run.error);
     writer.key("run");

@@ -42,6 +42,13 @@
 
 namespace adept::dist {
 
+/// The longest answer line a pipe or socket worker may send: 64 MiB, ~80x
+/// the answer to a plan that places all of 10,000 nodes (0.79 MB for a
+/// star). A peer that sends more without a newline is a dead worker —
+/// its buffer is released and its jobs are retried or planned
+/// in-process — so it cannot grow the coordinator's memory without bound.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{64} << 20;
+
 /// One serve-protocol endpoint (see the file comment for the contract).
 class Worker {
  public:
@@ -53,8 +60,9 @@ class Worker {
   virtual bool send(const std::string& line) = 0;
 
   /// Receives the next response line, waiting at most `timeout_ms`.
-  /// False on timeout, EOF, or a dead worker — the caller cannot tell
-  /// which, and does not need to: any false is a worker failure.
+  /// False on timeout, EOF, a line longer than kMaxLineBytes, or a dead
+  /// worker — the caller cannot tell which, and does not need to: any
+  /// false is a worker failure.
   virtual bool receive(std::string& line, double timeout_ms) = 0;
 
   /// True until the worker is known dead (send/receive failed, kill()).

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -42,14 +41,6 @@ std::string encode(std::size_t id, const ShardJob& job) {
   }
   out.end_object();
   return line;
-}
-
-/// Reads one worker answer: straight from its bytes, or through the DOM
-/// when the fast decoder declines. Throws on a broken line.
-wire::RunAnswer decode(const std::string& line) {
-  if (std::optional<wire::RunAnswer> answer = wire::decode_run_answer(line))
-    return std::move(*answer);
-  return wire::run_answer_from_json(json::parse(line));
 }
 
 }  // namespace
@@ -215,7 +206,7 @@ void WorkerPool::drain(Slot& slot, const std::vector<ShardJob>& jobs,
       break;
     }
     try {
-      wire::RunAnswer answer = decode(line);
+      wire::RunAnswer answer = wire::decode_run_answer(line);
       ADEPT_CHECK(answer.id == id, "worker answered out of order");
       if (answer.ok) {
         // Streamed straight off this drain thread: the caller's sink

@@ -11,7 +11,6 @@
 #include <istream>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <ostream>
 #include <streambuf>
 #include <string>
@@ -142,32 +141,23 @@ class Session {
   std::size_t answered() const { return answered_count_; }
 
   void handle_line(const std::string& line) {
-    // A well-formed plan request decodes straight from its bytes. Control
-    // lines and every line the fast decoder declines take the DOM path,
-    // whose errors and id echo are the session's wire contract.
-    if (std::optional<wire::PlanLine> decoded = wire::decode_plan_line(line)) {
-      submit(std::move(decoded->id), [&decoded] { return std::move(*decoded); });
-      return;
+    wire::RequestLine read = wire::read_request_line(line);
+    switch (read.kind) {
+      case wire::RequestLine::Kind::Syntax:
+        // Not JSON: answered in its turn, without admission.
+        queue_error(json::Value(nullptr), read.error);
+        return;
+      case wire::RequestLine::Kind::Control:
+        try {
+          handle_command(read.document);
+        } catch (const Error& e) {
+          // e.g. a non-string "cmd" value — an error line, not a dead session.
+          queue_error(json::Value(nullptr), e.what());
+        }
+        return;
+      case wire::RequestLine::Kind::Plan:
+      case wire::RequestLine::Kind::Schema: submit(read);
     }
-    json::Value request;
-    try {
-      request = json::parse(line);
-    } catch (const Error& e) {
-      queue_error(json::Value(nullptr), e.what());
-      return;
-    }
-    if (const json::Value* cmd = request.find("cmd")) {
-      try {
-        handle_command(*cmd, request);
-      } catch (const Error& e) {
-        // e.g. a non-string "cmd" value — an error line, not a dead session.
-        queue_error(json::Value(nullptr), e.what());
-      }
-      return;
-    }
-    const json::Value* id = request.find("id");
-    submit(id != nullptr ? *id : json::Value(),
-           [&request] { return wire::plan_line_from_json(request); });
   }
 
   bool quitting() const { return quitting_; }
@@ -196,8 +186,8 @@ class Session {
         h_request_ms_(service_.metrics().histogram("serve.request_ms")),
         writer_([this] { writer_loop(); }) {}
 
-  void handle_command(const json::Value& cmd, const json::Value& request) {
-    const std::string& name = cmd.as_string();
+  void handle_command(const json::Value& request) {
+    const std::string& name = request.at("cmd").as_string();
     if (name == "quit") {
       quitting_ = true;
       return;
@@ -249,12 +239,12 @@ class Session {
     queue_error(json::Value(nullptr), "unknown command '" + name + "'");
   }
 
-  /// Admits one plan request: `decode` yields the decoded line, or
-  /// throws the error its answer carries.
-  template <typename Decode>
-  void submit(json::Value id, Decode&& decode) {
+  /// Admits one plan line: a decoded request, or a schema fault whose
+  /// error its answer carries. Either passes admission first, so a full
+  /// queue answers it overloaded.
+  void submit(wire::RequestLine& read) {
     Pending pending;
-    pending.id = std::move(id);
+    pending.id = std::move(read.plan.id);
     std::size_t depth = 0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -278,9 +268,14 @@ class Session {
         enqueue(std::move(pending));
         return;
       }
-      // The wire decoders give the request an *owning* platform, so the
+      if (read.kind == wire::RequestLine::Kind::Schema) {
+        pending.immediate_error = std::move(read.error);
+        enqueue(std::move(pending));
+        return;
+      }
+      // The decoder gives the request an *owning* platform, so the
       // in-flight job can never outlive it.
-      wire::PlanLine line = decode();
+      wire::PlanLine& line = read.plan;
       PlanRequest& plan_request = line.request;
       if (line.budget_ms.has_value())
         plan_request.options.deadline =

@@ -51,8 +51,10 @@
 /// deadline error.
 ///
 /// Each request's platform is deserialized into owning shared storage
-/// (wire::request_from_json), so an in-flight job can never outlive its
-/// platform — the ownership model PlanRequest v2 exists for.
+/// (wire::decode_plan_line), so an in-flight job can never outlive its
+/// platform — the ownership model PlanRequest v2 exists for. A refused
+/// line is answered through wire::read_request_line (docs/WIRE.md,
+/// "Errors").
 
 #include <cstddef>
 #include <iosfwd>

@@ -1,38 +1,48 @@
 #pragma once
 /// \file wire.hpp
-/// \brief The planning API's JSON wire format (serializers/deserializers).
+/// \brief The planning API's JSON wire format: one streaming codec per
+/// request-path type, and the DOM codecs of the cold types.
 ///
-/// Every value type a planning client exchanges with ADePT — Platform,
-/// MiddlewareParams, ServiceSpec, PlanOptions, Hierarchy, PlanResult,
-/// PlannerRun, PortfolioResult and the full PlanRequest — has a to_json /
-/// *_from_json pair here with round-trip fidelity: for any value x,
+/// Every value type a planning client exchanges with ADePT per request —
+/// Platform, MiddlewareParams, ServiceSpec, PlanOptions, Hierarchy,
+/// ThroughputReport, PlanResult, PlannerRun, PortfolioResult and the full
+/// PlanRequest, plus serve plan lines and worker answers — is written by
+/// one streaming writer, write(), and read by one streaming reader over
+/// json::Reader, with round-trip fidelity: for any value x,
 /// from_json(to_json(x)) compares equal to x (tests/test_wire.cpp pins
 /// this property, including infinity demand and excluded NodeSets).
 ///
 /// Conventions:
-///   - serializers always emit keys in one fixed order, so dump() of a
-///     serialized value is a canonical byte string — request_fingerprint()
-///     is that string for a request, and the plan cache's key
-///     (request_key) has exactly its equalities;
+///   - writers always emit keys in one fixed order, so the bytes of a
+///     written value are a canonical string — request_fingerprint() is
+///     that string for a request, and the plan cache's key (request_key)
+///     has exactly its equalities;
 ///   - unlimited demand is encoded as the string "unlimited" (JSON has no
 ///     infinity); any finite demand is a plain number;
 ///   - PlanOptions' runtime-only fields (deadline, cancel token, pool) do
 ///     not travel: a deadline is an *instant* on the server's clock.
 ///     Clients send a relative "budget_ms" instead, which the serve layer
 ///     (io/serve.hpp) turns into a deadline at admission time;
-///   - deserializers validate through the domain constructors (Platform's
+///   - readers validate through the domain constructors (Platform's
 ///     positivity checks, Hierarchy::from_elements' linkage checks), so a
-///     hostile document cannot materialise an invalid value.
+///     hostile document cannot materialise an invalid value;
+///   - a reader refuses with the text a walk over json::parse's DOM
+///     gives: json::Value's type errors ("JSON value is string, expected
+///     number"), "JSON object is missing key '<k>'", json::parse's
+///     duplicate-key error, and the domain checks' own. On a document with
+///     several faults it reports the first in line order; a missing key
+///     is a fault of its object's closing brace, the first in write order
+///     when several are missing.
 ///
-/// Two codec families share that format. The json::Value family
-/// (to_json / *_from_json) serves the cold paths — stats, metrics,
-/// scenarios, recordings, CLI output — and is the reference the tests
-/// pin the other against. The streaming family serves the per-request
-/// paths without a DOM: write() emits exactly to_json(x).dump()'s bytes
-/// through a json::Writer, decode_plan_line() / decode_run_answer() read
-/// straight from a line's bytes and accept exactly what their DOM twins
-/// accept, and request_key() hashes the fingerprint writers' walk as
-/// bits, formatting no text.
+/// The per-request paths use the codec directly: write() emits through a
+/// json::Writer, decode_plan_line() / decode_run_answer() read a line
+/// straight from its bytes, and request_key() hashes the fingerprint
+/// writers' walk as bits, formatting no text. to_json / *_from_json are
+/// one-line adapters for DOM callers (stats, CLI output, scenarios):
+/// to_json(x) is json::parse of write()'s bytes, and *_from_json(v)
+/// reads v.dump(). CacheConfig and the churn-scenario types (mutation
+/// events, traces, scenarios, recordings) are cold and keep a DOM codec
+/// only.
 
 #include <cstddef>
 #include <optional>
@@ -93,6 +103,8 @@ PortfolioResult portfolio_from_json(const json::Value& value);
 json::Value to_json(const PlanRequest& request);
 /// Rebuilds a request that *owns* its platform (std::make_shared), so the
 /// deserialized request is safe to submit() and outlive the call site.
+/// A serve line's session members (id, planner, budget_ms, cmd) are
+/// ignored.
 PlanRequest request_from_json(const json::Value& value);
 
 // Churn scenarios (sim/scenario.hpp): the scenario description, single
@@ -139,15 +151,21 @@ std::string request_key(const PlanRequest& request, std::string_view planner);
 
 // ------------------------------------------------------ streaming codecs --
 
-/// Writes to_json(request).dump()'s bytes.
+/// Each writes x's canonical wire bytes, the only encoding of x:
+/// to_json(x) is their json::parse, and dump() reproduces them.
+void write(json::Writer& out, const Platform& platform);
+void write(json::Writer& out, const MiddlewareParams& params);
+void write(json::Writer& out, const ServiceSpec& service);
+void write(json::Writer& out, const PlanOptions& options);
+void write(json::Writer& out, const Hierarchy& hierarchy);
+void write(json::Writer& out, const model::ThroughputReport& report);
+void write(json::Writer& out, const PlanResult& result);
+void write(json::Writer& out, const PlannerRun& run);
+void write(json::Writer& out, const PortfolioResult& portfolio);
 void write(json::Writer& out, const PlanRequest& request);
 /// Writes the request's members (platform, params, service, options)
 /// into an object the caller has opened — a shard line appends its own.
 void write_members(json::Writer& out, const PlanRequest& request);
-/// Writes to_json(run).dump()'s bytes.
-void write(json::Writer& out, const PlannerRun& run);
-/// Writes to_json(portfolio).dump()'s bytes.
-void write(json::Writer& out, const PortfolioResult& portfolio);
 
 /// A serve plan-request line (io/serve.hpp), decoded.
 struct PlanLine {
@@ -157,15 +175,34 @@ struct PlanLine {
   PlanRequest request;                ///< Owns its platform.
 };
 
-/// DOM decoder of a plan-request line: request_from_json, then the
-/// budget (in (0, 8.64e10] ms) and the planner name. Throws the serve
-/// session's error text for the line.
-PlanLine plan_line_from_json(const json::Value& line);
-/// Decodes a plan-request line straight from its bytes. Accepts exactly
-/// the lines plan_line_from_json(json::parse(line)) accepts, with an
-/// equal result, except control lines (a "cmd" member); nullopt for
-/// every other line, whose error the DOM path then reports.
-std::optional<PlanLine> decode_plan_line(std::string_view line);
+/// Decodes a plan-request line straight from its bytes: the request
+/// (request_from_json's schema), the "id", the "planner" name and a
+/// "budget_ms" in (0, 8.64e10]. Throws adept::Error on any other line —
+/// not one JSON object, a schema or domain fault, or a control line (a
+/// "cmd" member).
+PlanLine decode_plan_line(std::string_view line);
+
+/// A serve input line, classified the way the session answers it.
+struct RequestLine {
+  enum class Kind {
+    Plan,     ///< A plan request: `plan`.
+    Control,  ///< A control line ("cmd" member): `document`.
+    Syntax,   ///< Not one JSON document: `error`, answered with a null id.
+    Schema,   ///< A plan line decode_plan_line refused: `error`, and
+              ///< `plan.id` holds the line's id to echo.
+  };
+  Kind kind = Kind::Plan;
+  PlanLine plan;
+  json::Value document;  ///< The parsed line, for Control and Schema.
+  std::string error;
+};
+
+/// The one error path of serve and the in-process worker: decodes `line`
+/// with decode_plan_line and, when that refuses it, json::parse's it — a
+/// syntax fault anywhere is answered with its parse error; a document
+/// with a "cmd" member is a control line; any other carries the
+/// decoder's error and echoes the line's "id".
+RequestLine read_request_line(std::string_view line);
 
 /// A serve answer to a plan request, as a coordinator reads it.
 struct RunAnswer {
@@ -174,11 +211,9 @@ struct RunAnswer {
   PlannerRun run;      ///< The answer's run; read only when ok.
 };
 
-/// DOM decoder of an answer line: {"id": index, "ok": bool, "run": ...}.
-RunAnswer run_answer_from_json(const json::Value& line);
-/// Decodes an answer line straight from its bytes; nullopt where it
-/// declines, which the DOM decoder then settles (run_answer_from_json
-/// accepts every line this does, with an equal result).
-std::optional<RunAnswer> decode_run_answer(std::string_view line);
+/// Decodes an answer line {"id": index, "ok": bool, "run": ...} straight
+/// from its bytes; the run is read only when ok. Throws adept::Error on
+/// any other line.
+RunAnswer decode_run_answer(std::string_view line);
 
 }  // namespace adept::wire

@@ -424,13 +424,15 @@ PlanTicket PlanningService::submit(PlanRequest request, std::string planner) {
                                  .count());
     PlannerRun run = execute(request, planner, std::move(key));
     record(run);
+    // Before the ticket is published: a caller whose wait() returned
+    // must not count this job as pending.
+    pending_jobs_.fetch_sub(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(state->mutex);
       state->result = std::move(run);
       state->done = true;
     }
     state->cv.notify_all();
-    pending_jobs_.fetch_sub(1, std::memory_order_relaxed);
   });
   return PlanTicket(std::move(state));
 }
@@ -462,13 +464,13 @@ PortfolioTicket PlanningService::submit_portfolio(
       portfolio.runs.push_back(std::move(failure));
       portfolio.scores.push_back(0.0);
     }
+    pending_jobs_.fetch_sub(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(state->mutex);
       state->result = std::move(portfolio);
       state->done = true;
     }
     state->cv.notify_all();
-    pending_jobs_.fetch_sub(1, std::memory_order_relaxed);
   });
   return PortfolioTicket(std::move(state));
 }

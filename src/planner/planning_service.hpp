@@ -339,8 +339,9 @@ class PlanningService {
   /// lazily on the first executed job).
   std::size_t thread_count() const;
   /// Jobs submitted through submit()/submit_portfolio() that have not
-  /// completed yet (queued or running). The serve tier's admission
-  /// control reads this as its queue-depth signal.
+  /// completed yet (queued or running). A job leaves the count before its
+  /// ticket is done, so once wait() has returned for every ticket this
+  /// reads 0. serve's `stats` reports it as "service_pending".
   std::size_t pending_jobs() const;
 
  private:

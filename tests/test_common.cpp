@@ -299,15 +299,30 @@ TEST(Units, Conversions) {
 
 // ---------------------------------------------------------------- error --
 
-TEST(Error, CheckMacroThrowsWithContext) {
+/// The text of the adept::Error `fn` throws.
+template <typename Fn>
+std::string thrown_text(Fn fn) {
   try {
-    ADEPT_CHECK(1 == 2, "math is broken");
-    FAIL() << "expected throw";
+    fn();
   } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("1 == 2"), std::string::npos);
-    EXPECT_NE(what.find("math is broken"), std::string::npos);
+    return e.what();
   }
+  return "no throw";
+}
+
+TEST(Error, ChecksThrowTheirMessageAndAssertsTheirLocation) {
+  // A user-facing check's text reaches clients: its message alone, or the
+  // expression when it has none — never a source path or line.
+  EXPECT_EQ(thrown_text([] { ADEPT_CHECK(1 == 2, "math is broken"); }),
+            "math is broken");
+  EXPECT_EQ(thrown_text([] { ADEPT_CHECK(1 == 2, ""); }), "1 == 2");
+  // An internal invariant keeps the expression and its location.
+  const std::string internal =
+      thrown_text([] { ADEPT_ASSERT(1 == 2, "math is broken"); });
+  EXPECT_EQ(internal.rfind("check failed: 1 == 2 at ", 0), 0u) << internal;
+  EXPECT_NE(internal.find("test_common.cpp:"), std::string::npos) << internal;
+  EXPECT_NE(internal.find(" — internal: math is broken"), std::string::npos)
+      << internal;
 }
 
 

@@ -66,40 +66,81 @@ TEST(Dist, InProcessFleetMatchesShardedForAnyWorkerCount) {
 }
 
 TEST(Dist, InProcessWorkerAnswersBadLinesWithServesErrors) {
-  // The in-process transport decodes with serve's decoders, so every line
-  // serve refuses gets serve's error text and id echo from it too — one
-  // bad budget, an unknown planner, both a bad budget and a bad planner
-  // (the budget is reported first), and a line that is not JSON.
+  // The in-process transport and serve share one error path
+  // (wire::read_request_line), so every line serve refuses gets serve's
+  // answer from it too: one line per fault class, each with its exact id
+  // and text. A line with two faults reports the first in line order:
+  // line 3's planner comes before its budget.
   const std::string platform = wire::to_json(multi_cluster(12)).dump();
-  const std::vector<std::string> lines = {
-      R"({"id":1,"platform":)" + platform +
-          R"(,"service":"dgemm-310","budget_ms":-1})",
-      R"({"id":2,"planner":"no-such","platform":)" + platform +
-          R"(,"service":"dgemm-310"})",
-      R"({"id":3,"planner":7,"platform":)" + platform +
-          R"(,"service":"dgemm-310","budget_ms":1e11})",
-      "not json",
+  const std::string parse = "JSON parse error at ";
+  struct Case {
+    std::string line;
+    std::string id;     ///< The echoed id, dumped.
+    std::string error;  ///< The exact text ("*" suffix: a prefix).
+  };
+  const std::vector<Case> cases = {
+      {R"({"id":1,"platform":)" + platform +
+           R"(,"service":"dgemm-310","budget_ms":-1})",
+       "1", "budget_ms must be in (0, 8.64e10]"},
+      {R"({"id":2,"planner":"no-such","platform":)" + platform +
+           R"(,"service":"dgemm-310"})",
+       "2", "unknown planner 'no-such' (known: *"},
+      {R"({"id":3,"planner":7,"platform":)" + platform +
+           R"(,"service":"dgemm-310","budget_ms":1e11})",
+       "3", "JSON value is number, expected string"},
+      {"not json", "null", parse + "1:1: bad literal"},
+      {R"({"id":5,"platform":{"bandwidth":1,"nodes":[{"name":"a","power":1,"power":2}]},"service":"dgemm-310"})",
+       "null", parse + "1:73: duplicate object key 'power'"},
+      {R"({"id":6,"service":"dgemm-310"})", "6",
+       "JSON object is missing key 'platform'"},
+      {R"({"id":7,"platform":)" + platform + R"(,"service":null})", "7",
+       "JSON value is null, expected object"},
+      {R"({"id":8,"platform":{"bandwidth":1,"nodes":[{"name":"a","power":"1"}]},"service":"dgemm-310"})",
+       "8", "JSON value is string, expected number"},
+      {R"({"id":9,"platform":)" + platform +
+           R"(,"service":"dgemm-310","options":{"excluded":[-1]}})",
+       "9", "JSON number is not a non-negative integer index"},
+      {R"({"id":10,"platform":)" + platform +
+           R"(,"service":"dgemm-310","params":{"agent":{}}})",
+       "10", "JSON object is missing key 'wreq'"},
+      {R"({"id":11,"platform":)" + platform +
+           R"(,"service":"dgemm-310","options":{"demand":true}})",
+       "11", "JSON value is bool, expected number"},
+      {R"({"id":12,"cmd":5})", "null", "JSON value is number, expected string"},
   };
   std::stringstream in;
   std::stringstream out;
-  for (const std::string& line : lines) in << line << "\n";
+  for (const Case& c : cases) in << c.line << "\n";
   io::ServeConfig config;
   config.threads = 1;
   io::serve_session(in, out, config);
   InProcessTransport transport;
   const std::unique_ptr<Worker> worker = transport.spawn();
-  for (const std::string& line : lines) {
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.line);
     std::string served;
     ASSERT_TRUE(std::getline(out, served));
     std::string answered;
-    ASSERT_TRUE(worker->send(line));
+    ASSERT_TRUE(worker->send(c.line));
     ASSERT_TRUE(worker->receive(answered, 0.0));
     const json::Value serve_doc = json::parse(served);
     const json::Value worker_doc = json::parse(answered);
+    EXPECT_FALSE(serve_doc.at("ok").as_bool()) << served;
     EXPECT_FALSE(worker_doc.at("ok").as_bool()) << answered;
-    EXPECT_EQ(worker_doc.at("id").dump(), serve_doc.at("id").dump()) << line;
-    EXPECT_EQ(worker_doc.at("error").as_string(),
-              serve_doc.at("error").as_string());
+    EXPECT_EQ(serve_doc.at("id").dump(), c.id);
+    EXPECT_EQ(worker_doc.at("id").dump(), c.id);
+    const std::string& error = serve_doc.at("error").as_string();
+    EXPECT_EQ(worker_doc.at("error").as_string(), error);
+    if (c.error.back() == '*') {
+      EXPECT_EQ(error.rfind(c.error.substr(0, c.error.size() - 1), 0), 0u)
+          << error;
+    } else {
+      EXPECT_EQ(error, c.error);
+    }
+    // A refused line's answer is the same document from both doors.
+    if (serve_doc.find("run") == nullptr) {
+      EXPECT_EQ(answered, served);
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -240,6 +241,52 @@ TEST(DistSocket, DribblingWriterCannotRestartTheReceiveTimeout) {
   EXPECT_EQ(line, "first");
   ASSERT_TRUE(reader->receive(line, 10000.0));
   EXPECT_EQ(line, "second");
+}
+
+TEST(DistSocket, AnAnswerLinePastTheCapFailsTheWorkerNeverTheRequest) {
+  // A peer that streams bytes without a newline is a dead worker once
+  // they pass kMaxLineBytes: receive() gives up instead of buffering
+  // without bound, and the coordinator answers the job elsewhere.
+  const auto flood = [](int fd) {
+    const std::string chunk(std::size_t{1} << 20, 'x');
+    for (std::size_t sent = 0; sent <= kMaxLineBytes; sent += chunk.size())
+      if (!write_all(fd, chunk)) return;
+    std::string request;
+    while (read_line(fd, request)) {
+    }
+  };
+  FakeTcpServer direct(flood);
+  SocketTransport direct_transport({direct.endpoint()});
+  std::unique_ptr<Worker> worker = direct_transport.spawn();
+  std::string line;
+  EXPECT_FALSE(worker->receive(line, 60000.0));
+  EXPECT_FALSE(worker->alive());
+  worker.reset();
+
+  // Only the first connection floods; a reconnect hangs up at once.
+  std::atomic<int> connections{0};
+  FakeTcpServer server([&](int fd) {
+    if (connections++ > 0) return;
+    std::string request;
+    if (read_line(fd, request)) flood(fd);
+  });
+  const Platform platform = multi_cluster(120, 5);
+  SocketTransport transport({server.endpoint()});
+  CoordinatorConfig config;
+  config.workers = 1;
+  Coordinator coordinator(transport, config);
+  reset_stats_for_test();
+  const auto start = std::chrono::steady_clock::now();
+  const PlanResult planned = coordinator.plan(make_request(platform));
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  expect_identical(planned,
+                   run_planner("sharded", platform, dgemm_service(310)),
+                   "an endless answer line");
+  EXPECT_GT(stats_snapshot().worker_failures, 0u);
+  // Failed at the cap, not at the two-minute shard timeout.
+  EXPECT_LT(elapsed_ms, 30000.0);
 }
 
 TEST(DistSocket, HungSocketWorkerCannotOutliveTheCallersDeadline) {

@@ -11,7 +11,6 @@
 #include <fstream>
 #include <functional>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "common/strings.hpp"
 #include "io/wire.hpp"
 #include "obs/exposition.hpp"
+#include "wire_reference.hpp"
 
 #ifndef ADEPT_SOURCE_DIR
 #error "ADEPT_SOURCE_DIR must point at the repository root"
@@ -175,10 +175,11 @@ TEST(WireDoc, EveryAnnotatedExampleRoundTripsExactly) {
 }
 
 TEST(WireDoc, StreamingCodecsMatchTheDomOnEveryExample) {
-  // The per-request codecs: the streaming writer emits the DOM's bytes
-  // for every request, run and portfolio example, and every request
-  // example, read as a serve line, decodes without a DOM to the same
-  // request.
+  // The per-request codec against the reference DOM codec: the streaming
+  // writer emits the reference's bytes for every request, run and
+  // portfolio example, the readers decode each to what the reference
+  // decodes, and every request example, read as a serve line, decodes to
+  // the reference's line.
   const auto streamed = [](const auto& value) {
     std::string out;
     json::Writer writer(out);
@@ -192,21 +193,30 @@ TEST(WireDoc, StreamingCodecsMatchTheDomOnEveryExample) {
     const json::Value doc = json::parse(example.body);
     if (example.type == "request") {
       const PlanRequest request = wire::request_from_json(doc);
-      EXPECT_EQ(streamed(request), wire::to_json(request).dump());
-      const std::optional<wire::PlanLine> fast =
-          wire::decode_plan_line(example.body);
-      ASSERT_TRUE(fast.has_value());
-      const wire::PlanLine dom = wire::plan_line_from_json(doc);
-      EXPECT_EQ(fast->id, dom.id);
-      EXPECT_EQ(fast->planner, dom.planner);
-      EXPECT_EQ(wire::to_json(fast->request).dump(),
-                wire::to_json(dom.request).dump());
+      EXPECT_EQ(streamed(request), wire::reference::to_json(request).dump());
+      EXPECT_EQ(streamed(request),
+                wire::reference::to_json(wire::reference::request_from_json(doc))
+                    .dump());
+      const wire::PlanLine line = wire::decode_plan_line(example.body);
+      const wire::PlanLine dom = wire::reference::plan_line_from_json(doc);
+      EXPECT_EQ(line.id, dom.id);
+      EXPECT_EQ(line.planner, dom.planner);
+      EXPECT_EQ(streamed(line.request), streamed(dom.request));
     } else if (example.type == "planner-run") {
       const PlannerRun run = wire::planner_run_from_json(doc);
-      EXPECT_EQ(streamed(run), wire::to_json(run).dump());
+      EXPECT_EQ(streamed(run), wire::reference::to_json(run).dump());
+      EXPECT_EQ(streamed(run),
+                wire::reference::to_json(
+                    wire::reference::planner_run_from_json(doc))
+                    .dump());
     } else if (example.type == "portfolio") {
       const PortfolioResult portfolio = wire::portfolio_from_json(doc);
-      EXPECT_EQ(streamed(portfolio), wire::to_json(portfolio).dump());
+      EXPECT_EQ(streamed(portfolio),
+                wire::reference::to_json(portfolio).dump());
+      EXPECT_EQ(streamed(portfolio),
+                wire::reference::to_json(
+                    wire::reference::portfolio_from_json(doc))
+                    .dump());
     } else {
       continue;
     }

@@ -613,13 +613,36 @@ TEST(HitsAtSubmit, TheLedgerMatchesThePoolPaths) {
         count("service.plan.latency_ms"),
         count("service.queue_wait_ms"),
         count("service.planner.heuristic.latency_ms"),
-        count("service.planner.test-gate.latency_ms")};
+        count("service.planner.test-gate.latency_ms"),
+        service.pending_jobs()};  // serve's "service_pending"
   };
   EXPECT_EQ(ledger(inline_service), ledger(pool_service));
+  EXPECT_EQ(inline_service.pending_jobs(), 0u);
   EXPECT_EQ(inline_service.stats().jobs, 3u);
   EXPECT_EQ(inline_service.stats().cache_hits, 1u);
   // The queue-wait histogram still counts every job.
   EXPECT_EQ(ledger(inline_service)[9], inline_service.stats().jobs);
+}
+
+TEST(PlanningService, NoJobIsPendingOnceItsTicketIsDone) {
+  // A job leaves pending_jobs() before its ticket is published, so a
+  // caller whose wait() (or poll()) has returned never counts it.
+  const Platform platform = gen::homogeneous(6, 1000.0, kB);
+  PlanningService service(1);
+  for (int i = 0; i < 3000; ++i) {
+    const PlanTicket ticket = service.submit(cached_request(platform), "star");
+    if (i % 2 == 0) {
+      ticket.wait();
+    } else {
+      while (!ticket.poll()) {
+      }
+    }
+    ASSERT_EQ(service.pending_jobs(), 0u) << "plan " << i;
+    if (i % 10 == 0) {
+      service.submit_portfolio(cached_request(platform)).wait();
+      ASSERT_EQ(service.pending_jobs(), 0u) << "portfolio " << i;
+    }
+  }
 }
 
 TEST(HitsAtSubmit, AnIdenticalRequestWhoseLeaderIsPlanningCoalesces) {

@@ -25,13 +25,12 @@ TEST(Platform, ConstructionValidates) {
   EXPECT_THROW(Platform({{"a", 1.0}, {"a", 2.0}}, 1000.0), Error);  // dup name
 }
 
-/// The domain message of the constructor's error for `nodes`.
+/// The text of the constructor's error for `nodes`.
 std::string construction_error(std::vector<NodeSpec> nodes) {
   try {
     Platform platform(std::move(nodes), 100.0);
   } catch (const Error& e) {
-    const std::string what = e.what();
-    return what.substr(what.rfind(" — ") + std::string(" — ").size());
+    return e.what();
   }
   return "";
 }

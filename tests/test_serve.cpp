@@ -25,6 +25,7 @@
 #include "planner/registry.hpp"
 #include "planning_test_util.hpp"
 #include "platform/generator.hpp"
+#include "wire_reference.hpp"
 
 namespace adept {
 namespace {
@@ -594,8 +595,8 @@ TEST(Serve, EachAnswerIsOneWriteOfTheLineAndItsNewline) {
 
 /// The envelope the DOM rules build from an answer's own fields: id, ok,
 /// then status, degraded, an "error" only when ok is false, the retry
-/// hint, and the payload encoded exactly as wire::to_json encodes the
-/// decoded value.
+/// hint, and the payload as the reference DOM codec
+/// (tests/wire_reference.hpp) decodes and re-encodes it.
 json::Value dom_envelope(const json::Value& answer) {
   const bool ok = answer.at("ok").as_bool();
   json::Value out = json::Value::object();
@@ -608,9 +609,11 @@ json::Value dom_envelope(const json::Value& answer) {
   if (const json::Value* retry = answer.find("retry_after_ms"))
     out.set("retry_after_ms", *retry);
   if (const json::Value* run = answer.find("run"))
-    out.set("run", wire::to_json(wire::planner_run_from_json(*run)));
+    out.set("run", wire::reference::to_json(
+                       wire::reference::planner_run_from_json(*run)));
   if (const json::Value* portfolio = answer.find("portfolio"))
-    out.set("portfolio", wire::to_json(wire::portfolio_from_json(*portfolio)));
+    out.set("portfolio", wire::reference::to_json(
+                             wire::reference::portfolio_from_json(*portfolio)));
   return out;
 }
 
@@ -671,9 +674,10 @@ TEST(Serve, StreamedAnswersAreTheDomEnvelopeByteForByte) {
   }
 }
 
-TEST(Serve, LinesTheFastDecoderDeclinesKeepTheDomErrors) {
-  // A repeated key is a parse error (no id to echo); a bad budget or a
-  // non-string planner is a request error that echoes the id.
+TEST(Serve, RefusedLinesKeepTheReferenceErrors) {
+  // A repeated key is a parse error (no id to echo); a bad budget, a
+  // non-string planner or a missing platform is a request error that
+  // echoes the id.
   const std::string platform = platform_json(61);
   const auto [answered, responses] = run_session({
       R"({"id":"dup","id":"again","platform":)" + platform +
@@ -683,9 +687,10 @@ TEST(Serve, LinesTheFastDecoderDeclinesKeepTheDomErrors) {
       R"({"id":"planner","planner":7,"platform":)" + platform +
           R"(,"service":"dgemm-310"})",
       R"({"id":"nested","platform":{"bandwidth":1000,"nodes":[{"name":"a","power":1,"power":2}]},"service":"dgemm-310"})",
+      R"({"id":1,"service":"dgemm-310"})",
   });
   EXPECT_EQ(answered, 0u);
-  ASSERT_EQ(responses.size(), 4u);
+  ASSERT_EQ(responses.size(), 5u);
   EXPECT_TRUE(responses[0].at("id").is_null());
   EXPECT_NE(responses[0].at("error").as_string().find(
                 "duplicate object key 'id'"),
@@ -702,6 +707,39 @@ TEST(Serve, LinesTheFastDecoderDeclinesKeepTheDomErrors) {
   EXPECT_NE(responses[3].at("error").as_string().find(
                 "duplicate object key 'power'"),
             std::string::npos);
+  // A failed precondition answers its message alone: no expression, no
+  // source path, no line number.
+  EXPECT_EQ(responses[4].dump(),
+            R"({"id":1,"ok":false,"error":"JSON object is missing key 'platform'"})");
+}
+
+TEST(Serve, ASchemaFaultAtAFullQueueIsAnsweredOverloaded) {
+  // Admission comes first: a plan line the decoder refuses still takes
+  // its turn at the queue, so a full one answers it overloaded. A line
+  // that is not JSON is answered without admission.
+  const std::string platform = platform_json(67);
+  io::ServeConfig config;
+  config.threads = 1;
+  config.cache = {};
+  config.max_pending = 1;
+  const auto [answered, responses] = run_session(
+      {
+          R"({"id":"slow","planner":"test-sleeper","platform":)" + platform +
+              R"(,"service":"dgemm-310"})",
+          R"({"id":"bad","planner":7,"platform":)" + platform +
+              R"(,"service":"dgemm-310"})",
+          "not json",
+      },
+      config);
+  EXPECT_EQ(answered, 1u);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_TRUE(responses[0].at("ok").as_bool()) << responses[0].dump();
+  EXPECT_EQ(responses[1].at("id").as_string(), "bad");
+  EXPECT_EQ(responses[1].at("status").as_string(), "overloaded");
+  EXPECT_TRUE(responses[2].at("id").is_null());
+  EXPECT_EQ(responses[2].find("status"), nullptr);
+  EXPECT_EQ(responses[2].at("error").as_string().rfind("JSON parse error", 0),
+            0u);
 }
 
 // ------------------------------------------- which thread writes answers --

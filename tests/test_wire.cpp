@@ -26,6 +26,7 @@
 #include "planner/planning_service.hpp"
 #include "planning_test_util.hpp"
 #include "platform/generator.hpp"
+#include "wire_reference.hpp"
 
 namespace adept {
 namespace {
@@ -133,6 +134,48 @@ TEST(Json, TypedAccessorsThrowOnMismatch) {
   EXPECT_THROW(json::Value(-1.0).as_index(), Error);
   EXPECT_THROW(json::Value(1.5).as_index(), Error);
   EXPECT_EQ(json::Value(7.0).as_index(), 7u);
+}
+
+TEST(Json, ReaderTypedReadsThrowTheDomsTypeErrors) {
+  // A typed read of a value of another kind throws what the json::Value
+  // accessor throws, so a decoder over the reader refuses a well-formed
+  // document with the DOM's text.
+  const auto thrown = [](const auto& fn) -> std::string {
+    try {
+      fn();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const std::string text :
+       {"null", "true", "-1.5", "3", "\"s\"", "[1]", "{\"a\":1}"}) {
+    SCOPED_TRACE(text);
+    const json::Value dom = json::parse(text);
+    const auto read = [&](const auto& typed) {
+      return thrown([&] {
+        json::Reader in(text);
+        typed(in);
+      });
+    };
+    EXPECT_EQ(read([](json::Reader& in) { in.boolean(); }),
+              thrown([&] { dom.as_bool(); }));
+    EXPECT_EQ(read([](json::Reader& in) { in.number(); }),
+              thrown([&] { dom.as_number(); }));
+    EXPECT_EQ(read([](json::Reader& in) { in.index(); }),
+              thrown([&] { dom.as_index(); }));
+    EXPECT_EQ(read([](json::Reader& in) { in.string(); }),
+              thrown([&] { dom.as_string(); }));
+    EXPECT_EQ(read([](json::Reader& in) { in.begin_array(); }),
+              thrown([&] { dom.as_array(); }));
+    EXPECT_EQ(read([](json::Reader& in) { in.begin_object(); }),
+              thrown([&] { dom.as_object(); }));
+  }
+  // A malformed token of the wanted kind is still a parse error.
+  EXPECT_EQ(thrown([] { json::Reader("tru").boolean(); }),
+            "JSON parse error at 1:1: bad literal");
+  EXPECT_EQ(thrown([] { json::Reader("-x").number(); }),
+            "JSON parse error at 1:1: malformed number");
 }
 
 // ---------------------------------------------------------- wire round-trip --
@@ -482,8 +525,10 @@ TEST(Wire, OversizedLinesParseWithoutTruncationOrCrash) {
 // ------------------------------------------------------ streaming codecs --
 //
 // The per-request paths encode with wire::write / request_key and decode
-// with decode_plan_line / decode_run_answer. Each is pinned to its
-// json::Value twin: same bytes out, same lines accepted, equal values.
+// with decode_plan_line / decode_run_answer. Each is pinned to the
+// reference DOM codec (tests/wire_reference.hpp): the same bytes out,
+// and on every decode corpus the outcome a client sees — the value, or
+// the echoed id and the error text.
 
 template <typename T>
 std::string streamed(const T& value) {
@@ -565,11 +610,12 @@ TEST(Wire, StreamedRequestsMatchTheDomOnRandomAndPresetPlatforms) {
     platforms.push_back(gen::catalog_platform(entry.name, 60, 5));
   for (const Platform& platform : platforms) {
     const PlanRequest request = varied_request(platform, seeds);
-    EXPECT_EQ(streamed(request), wire::to_json(request).dump());
+    EXPECT_EQ(streamed(request), wire::reference::to_json(request).dump());
+    EXPECT_EQ(wire::to_json(request), wire::reference::to_json(request));
     // The fingerprint is the DOM's {planner, request} document.
     json::Value fingerprint = json::Value::object();
     fingerprint.set("planner", "heur\"istic");
-    fingerprint.set("request", wire::to_json(request));
+    fingerprint.set("request", wire::reference::to_json(request));
     EXPECT_EQ(wire::request_fingerprint(request, "heur\"istic"),
               fingerprint.dump());
   }
@@ -582,55 +628,64 @@ TEST(Wire, StreamedRunsAndPortfoliosMatchTheDom) {
   const PortfolioResult portfolio =
       service.run_portfolio(PlanRequest(platform, kParams, dgemm_service(310)));
   ASSERT_TRUE(portfolio.has_winner());
-  EXPECT_EQ(streamed(portfolio), wire::to_json(portfolio).dump());
+  EXPECT_EQ(streamed(portfolio), wire::reference::to_json(portfolio).dump());
   for (const PlannerRun& run : portfolio.runs)
-    EXPECT_EQ(streamed(run), wire::to_json(run).dump()) << run.planner;
+    EXPECT_EQ(streamed(run), wire::reference::to_json(run).dump())
+        << run.planner;
 
   // Trace strings carrying every kind of escape.
   PlannerRun traced = portfolio.best();
   traced.result.trace = {"quote \" back \\ slash", "ctl \x01\x1f tab\t",
                          "utf-8 \xc3\xa9", ""};
-  EXPECT_EQ(streamed(traced), wire::to_json(traced).dump());
+  EXPECT_EQ(streamed(traced), wire::reference::to_json(traced).dump());
   // A failed run writes "result": null, whatever its stale result holds.
   PlannerRun failed = traced;
   failed.ok = false;
   failed.skipped = true;
   failed.error = "planning deadline \"exceeded\"\n";
-  EXPECT_EQ(streamed(failed), wire::to_json(failed).dump());
+  EXPECT_EQ(streamed(failed), wire::reference::to_json(failed).dump());
   EXPECT_NE(streamed(failed).find("\"result\":null"), std::string::npos);
   // No winner, unlimited scores.
   PortfolioResult lost = portfolio;
   lost.winner = PortfolioResult::npos;
   lost.scores.assign(lost.runs.size(), kUnlimitedDemand);
   lost.runs.push_back(failed);
-  EXPECT_EQ(streamed(lost), wire::to_json(lost).dump());
-}
-
-/// What a serve session's DOM path makes of a plan-request line: nullopt
-/// for control lines and for every line it answers with an error.
-std::optional<wire::PlanLine> dom_plan_line(const std::string& line) {
-  try {
-    const json::Value doc = json::parse(line);
-    if (doc.find("cmd") != nullptr) return std::nullopt;
-    return wire::plan_line_from_json(doc);
-  } catch (const Error&) {
-    return std::nullopt;
+  EXPECT_EQ(streamed(lost), wire::reference::to_json(lost).dump());
+  // Portfolios decode to what the reference decodes.
+  for (const PortfolioResult& value : {portfolio, lost}) {
+    const json::Value doc = wire::reference::to_json(value);
+    EXPECT_EQ(streamed(wire::portfolio_from_json(doc)),
+              wire::reference::to_json(wire::reference::portfolio_from_json(doc))
+                  .dump());
   }
 }
 
-/// The fast decoder accepts `line` exactly when the DOM path does, and
-/// then decodes an equal line.
-void expect_same_decode(const std::string& line) {
-  const std::optional<wire::PlanLine> fast = wire::decode_plan_line(line);
-  const std::optional<wire::PlanLine> dom = dom_plan_line(line);
-  ASSERT_EQ(fast.has_value(), dom.has_value()) << line;
-  if (!fast.has_value()) return;
-  EXPECT_EQ(fast->id, dom->id) << line;
-  EXPECT_EQ(fast->planner, dom->planner) << line;
-  EXPECT_EQ(fast->budget_ms, dom->budget_ms) << line;
-  EXPECT_EQ(*fast->request.platform, *dom->request.platform) << line;
-  EXPECT_EQ(wire::to_json(fast->request).dump(),
-            wire::to_json(dom->request).dump())
+/// `line` gets the reference's outcome through wire::read_request_line:
+/// a control line, an equal decoded line, or the same echoed id and
+/// error text.
+void expect_same_outcome(const std::string& line) {
+  const wire::RequestLine read = wire::read_request_line(line);
+  const wire::reference::LineOutcome want = wire::reference::line_outcome(line);
+  if (want.control) {
+    EXPECT_EQ(read.kind, wire::RequestLine::Kind::Control) << line;
+    return;
+  }
+  if (!want.plan.has_value()) {
+    ASSERT_NE(read.kind, wire::RequestLine::Kind::Plan) << line;
+    EXPECT_EQ(read.kind == wire::RequestLine::Kind::Syntax,
+              want.id.is_null() && want.error.rfind("JSON parse error", 0) == 0)
+        << line;
+    EXPECT_EQ(read.plan.id, want.id) << line;
+    EXPECT_EQ(read.error, want.error) << line;
+    return;
+  }
+  ASSERT_EQ(read.kind, wire::RequestLine::Kind::Plan) << line << read.error;
+  EXPECT_EQ(read.plan.id, want.plan->id) << line;
+  EXPECT_EQ(read.plan.planner, want.plan->planner) << line;
+  EXPECT_EQ(read.plan.budget_ms, want.plan->budget_ms) << line;
+  EXPECT_EQ(*read.plan.request.platform, *want.plan->request.platform) << line;
+  EXPECT_EQ(wire::reference::to_json(read.plan.request).dump(),
+            wire::reference::to_json(want.plan->request).dump())
       << line;
 }
 
@@ -646,7 +701,7 @@ std::string line_of(const std::vector<std::pair<std::string, std::string>>&
   return out + "}";
 }
 
-TEST(Wire, FastDecoderAcceptsExactlyWhatTheDomAccepts) {
+TEST(Wire, PlanLineOutcomesMatchTheReference) {
   Rng rng(29);
   Platform platform = gen::uniform(6, 200.0, 1200.0, kB, rng);
   platform.set_link(2, 40.0);
@@ -664,9 +719,9 @@ TEST(Wire, FastDecoderAcceptsExactlyWhatTheDomAccepts) {
   for (std::size_t r = 0; r < base.size(); ++r) {
     auto members = base;
     std::rotate(members.begin(), members.begin() + r, members.end());
-    expect_same_decode(line_of(members));
+    expect_same_outcome(line_of(members));
     std::reverse(members.begin(), members.end());
-    expect_same_decode(line_of(members));
+    expect_same_outcome(line_of(members));
   }
   // Ids of every JSON type, and none.
   for (const std::string id :
@@ -674,9 +729,9 @@ TEST(Wire, FastDecoderAcceptsExactlyWhatTheDomAccepts) {
         "{\"a\":{\"b\":[null]}}", "900000"}) {
     auto members = base;
     members[0].second = id;
-    expect_same_decode(line_of(members));
+    expect_same_outcome(line_of(members));
   }
-  expect_same_decode(line_of({base.begin() + 1, base.end()}));
+  expect_same_outcome(line_of({base.begin() + 1, base.end()}));
   // All three service forms, and their failures.
   for (const std::string service :
        {"\"dgemm-100\"", "59.5", R"({"name":"x\"y","wapp":3,"extra":[1]})",
@@ -684,7 +739,7 @@ TEST(Wire, FastDecoderAcceptsExactlyWhatTheDomAccepts) {
         "[1]", R"({"name":"x"})", "true"}) {
     auto members = base;
     members[3].second = service;
-    expect_same_decode(line_of(members));
+    expect_same_outcome(line_of(members));
   }
   // Options of every shape: a non-object means defaults.
   for (const std::string value :
@@ -694,7 +749,7 @@ TEST(Wire, FastDecoderAcceptsExactlyWhatTheDomAccepts) {
         R"({"verbose_trace":1})", R"({"shards":9e15,"other":{"a":[]}})"}) {
     auto members = base;
     members[5].second = value;
-    expect_same_decode(line_of(members));
+    expect_same_outcome(line_of(members));
   }
   // Params, budgets, planners and platforms at their edges.
   for (const auto& [index, value] : std::vector<std::pair<int, std::string>>{
@@ -711,14 +766,14 @@ TEST(Wire, FastDecoderAcceptsExactlyWhatTheDomAccepts) {
            {2, "[]"}}) {
     auto members = base;
     members[static_cast<std::size_t>(index)].second = value;
-    expect_same_decode(line_of(members));
+    expect_same_outcome(line_of(members));
   }
   // Escaped keys and names decode like the DOM's.
   {
     auto members = base;
     members[2] = {"\"pl\\u0061tform\"",
                   R"({"bandwidth":5,"nodes":[{"name":"a\"b\\cé\u0001","power":3}]})"};
-    expect_same_decode(line_of(members));
+    expect_same_outcome(line_of(members));
   }
   // Unknown members are validated and skipped at every depth.
   const std::string unknown = R"("zz":{"a":[1,{"b":null}],"c":"é"})";
@@ -735,7 +790,7 @@ TEST(Wire, FastDecoderAcceptsExactlyWhatTheDomAccepts) {
     } else {
       line.insert(at, unknown + ",");
     }
-    expect_same_decode(line);
+    expect_same_outcome(line);
   }
   // Duplicate keys at each depth: top level, platform, node, params,
   // costs, service, options, inside an unknown member and inside the id.
@@ -752,7 +807,7 @@ TEST(Wire, FastDecoderAcceptsExactlyWhatTheDomAccepts) {
     const std::string value =
         line[at + key.size()] == '{' ? "{}" : line.substr(at + key.size(), value_end - at - key.size());
     line.insert(at, key + value + ",");
-    expect_same_decode(line);
+    expect_same_outcome(line);
   }
   for (const std::string& extra :
        {std::string(R"("x":1,"x":2)"), std::string(R"("x":{"a":1,"a":2})"),
@@ -762,23 +817,28 @@ TEST(Wire, FastDecoderAcceptsExactlyWhatTheDomAccepts) {
     members.erase(members.begin());  // the id slot, so "id" may repeat once
     std::string line = line_of(members);
     line.insert(1, extra + ",");
-    expect_same_decode(line);
+    expect_same_outcome(line);
   }
   auto service_object = base;
   service_object[3].second = R"({"name":"a","name":"b","wapp":1})";
-  expect_same_decode(line_of(service_object));
+  expect_same_outcome(line_of(service_object));
   // Not objects, trailing input, whitespace, CRLF clients.
   for (const std::string line :
-       {"", " ", "[]", "\"x\"", "5", "null", "{}", "{\"cmd\":\"quit\"}"})
-    expect_same_decode(line);
-  expect_same_decode(line_of(base) + " \r");
-  expect_same_decode(line_of(base) + " {}");
-  expect_same_decode("\n\t " + line_of(base));
+       {"", " ", "[]", "\"x\"", "5", "null", "{\"cmd\":\"quit\"}"})
+    expect_same_outcome(line);
+  // Two faults: the decoder reports the first missing key in write order.
+  // (The reference's answer depends on the order in which the compiler
+  // evaluates request_from_json's arguments: GCC names the service.)
+  EXPECT_EQ(wire::read_request_line("{}").error,
+            "JSON object is missing key 'platform'");
+  expect_same_outcome(line_of(base) + " \r");
+  expect_same_outcome(line_of(base) + " {}");
+  expect_same_outcome("\n\t " + line_of(base));
 
   // Every prefix, and injected or deleted bytes anywhere.
   const std::string line = line_of(base);
   for (std::size_t cut = 0; cut < line.size(); ++cut)
-    expect_same_decode(line.substr(0, cut));
+    expect_same_outcome(line.substr(0, cut));
   std::mt19937 where(31);
   const std::string garbage = "@\x01~Z,:]}[{\"\\ 0-e.";
   for (int i = 0; i < 600; ++i) {
@@ -790,11 +850,11 @@ TEST(Wire, FastDecoderAcceptsExactlyWhatTheDomAccepts) {
     } else {
       corrupted.insert(at, 1, garbage[i % garbage.size()]);
     }
-    expect_same_decode(corrupted);
+    expect_same_outcome(corrupted);
   }
 }
 
-TEST(Wire, FastDecoderMatchesTheDomOnRandomRequests) {
+TEST(Wire, PlanLinesMatchTheReferenceOnRandomRequests) {
   std::mt19937 seeds(37);
   for (int i = 0; i < 30; ++i) {
     Rng rng(seeds());
@@ -803,15 +863,41 @@ TEST(Wire, FastDecoderMatchesTheDomOnRandomRequests) {
     const PlanRequest request = varied_request(platform, seeds);
     std::string line = streamed(request);
     line.insert(1, "\"id\":" + std::to_string(i) + ",\"planner\":\"heuristic\",");
-    expect_same_decode(line);
-    const std::optional<wire::PlanLine> fast = wire::decode_plan_line(line);
-    ASSERT_TRUE(fast.has_value()) << line;
-    EXPECT_EQ(wire::request_fingerprint(fast->request, "heuristic"),
+    expect_same_outcome(line);
+    EXPECT_EQ(wire::request_fingerprint(wire::decode_plan_line(line).request,
+                                        "heuristic"),
               wire::request_fingerprint(request, "heuristic"));
   }
 }
 
-TEST(Wire, FastAnswerDecoderMatchesTheDom) {
+/// decode_run_answer's outcome on `line` is the reference's: an equal
+/// answer, or the same error text.
+void expect_same_answer(const std::string& line) {
+  std::optional<wire::RunAnswer> want;
+  std::string want_error;
+  try {
+    want = wire::reference::run_answer_from_json(json::parse(line));
+  } catch (const Error& e) {
+    want_error = e.what();
+  }
+  std::optional<wire::RunAnswer> got;
+  std::string got_error;
+  try {
+    got = wire::decode_run_answer(line);
+  } catch (const Error& e) {
+    got_error = e.what();
+  }
+  ASSERT_EQ(got.has_value(), want.has_value()) << line << got_error;
+  EXPECT_EQ(got_error, want_error) << line;
+  if (!got.has_value()) return;
+  EXPECT_EQ(got->id, want->id) << line;
+  EXPECT_EQ(got->ok, want->ok) << line;
+  EXPECT_EQ(wire::reference::to_json(got->run).dump(),
+            wire::reference::to_json(want->run).dump())
+      << line;
+}
+
+TEST(Wire, AnswerOutcomesMatchTheReference) {
   Rng rng(43);
   const Platform platform = gen::uniform(20, 200.0, 1200.0, kB, rng);
   PlanningService service(1);
@@ -832,30 +918,30 @@ TEST(Wire, FastAnswerDecoderMatchesTheDom) {
     writer.end_object();
     return out;
   };
+  const std::string run_text = streamed(run);
+  const std::string result_text =
+      wire::reference::to_json(run.result).dump();
   const std::vector<std::string> lines = {
       answer(3, run), answer(900000, run), answer(4, failed),
       R"({"id":1,"ok":false,"error":"parse"})",
       R"({"ok":false,"run":5,"id":2})",
-      R"({"id":1,"ok":true})", R"({"id":-1,"ok":true,"run":{}})"};
-  for (const std::string& line : lines) {
-    const std::optional<wire::RunAnswer> fast = wire::decode_run_answer(line);
-    std::optional<wire::RunAnswer> dom;
-    try {
-      dom = wire::run_answer_from_json(json::parse(line));
-    } catch (const Error&) {
-    }
-    if (!fast.has_value()) continue;  // declined: the DOM decides
-    ASSERT_TRUE(dom.has_value()) << line;
-    EXPECT_EQ(fast->id, dom->id);
-    EXPECT_EQ(fast->ok, dom->ok);
-    EXPECT_EQ(wire::to_json(fast->run).dump(), wire::to_json(dom->run).dump());
-  }
-  // The well-formed answers decode on the fast path.
-  EXPECT_TRUE(wire::decode_run_answer(lines[0]).has_value());
-  EXPECT_TRUE(wire::decode_run_answer(lines[2]).has_value());
-  // Truncated answers never decode.
+      R"({"run":5,"ok":false,"id":2})",
+      R"({"run":)" + run_text + R"(,"id":2,"ok":true})",
+      R"({"run":{},"id":2,"ok":true})",
+      R"({"id":1,"ok":true})", R"({"id":-1,"ok":true,"run":{}})",
+      R"({"id":1,"ok":"yes"})", R"({"id":1,"ok":true,"run":null})",
+      R"({"id":1,"ok":true,"run":)" + run_text + R"(,"ok":true})",
+      // A run's result before its "ok", for an ok and a failed run.
+      R"({"id":5,"ok":true,"run":{"result":)" + result_text +
+          R"(,"planner":"p","ok":true,"skipped":false,"cached":false,"error":"","wall_ms":1,"evaluations":2}})",
+      R"({"id":5,"ok":true,"run":{"result":null,"planner":"p","ok":false,"skipped":true,"cached":false,"error":"late","wall_ms":1,"evaluations":2}})",
+      R"({"id":5,"ok":true,"run":{"result":7,"planner":"p","ok":true,"skipped":false,"cached":false,"error":"","wall_ms":1,"evaluations":2}})",
+      R"({"id":5,"ok":true,"run":{"planner":"p","ok":true,"skipped":false,"cached":false,"error":"","wall_ms":1,"evaluations":2}})",
+      "[]", ""};
+  for (const std::string& line : lines) expect_same_answer(line);
+  // Every prefix of a well-formed answer.
   for (std::size_t cut = 0; cut < lines[0].size(); cut += 5)
-    EXPECT_FALSE(wire::decode_run_answer(lines[0].substr(0, cut)).has_value());
+    expect_same_answer(lines[0].substr(0, cut));
 }
 
 TEST(Wire, RequestKeysAreEqualExactlyWhenFingerprintsAre) {
